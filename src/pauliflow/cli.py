@@ -18,6 +18,7 @@ import numpy as np
 from .gflownet import TrainConfig, TrainedSampler, train, training_log_csv
 from .graphs import (
     Coloring,
+    GraphSizeError,
     IncompleteColoringError,
     InvalidColoringError,
     build_complement_graph,
@@ -106,7 +107,7 @@ def _load_input(path: str):
         raise CliInputError(f"{path}: {err}") from err
 
 
-def _run_method(h, graph, method: str, args) -> dict:
+def _run_method(h, graph, method: str, args, config: TrainConfig) -> dict:
     started = time.perf_counter()
     extra = {}
     if method == "full":
@@ -114,16 +115,11 @@ def _run_method(h, graph, method: str, args) -> dict:
     elif method in GREEDY_METHODS:
         coloring = greedy_color(graph, GREEDY_METHODS[method], seed=args.seed)
     elif method == "exact":
-        coloring = exact_min_colors(graph, vertex_limit=args.vertex_limit)
+        try:
+            coloring = exact_min_colors(graph, vertex_limit=args.vertex_limit)
+        except GraphSizeError as err:
+            raise CliInputError(f"exact: {err}; see --vertex-limit") from err
     elif method == "gflownet":
-        config = TrainConfig(
-            iterations=args.iterations,
-            trajectories_per_iteration=args.traj_per_iter,
-            seed=args.seed,
-            mask_extra_colors=args.mask_extra,
-            measurement=MeasurementConfig(epsilon=args.epsilon, lambda0=args.lambda0),
-            mode=args.mode,
-        )
         sampler = train(h, config)
         best = sampler.best
         coloring = Coloring(best.assignment)
@@ -156,11 +152,22 @@ def _run_method(h, graph, method: str, args) -> dict:
 
 
 def _build_report(args, methods: list[str]) -> dict:
+    try:  # validates --epsilon and the sampler flags whatever the methods
+        config = TrainConfig(
+            iterations=args.iterations,
+            trajectories_per_iteration=args.traj_per_iter,
+            seed=args.seed,
+            mask_extra_colors=args.mask_extra,
+            measurement=MeasurementConfig(epsilon=args.epsilon, lambda0=args.lambda0),
+            mode=args.mode,
+        )
+    except ValueError as err:
+        raise CliInputError(str(err)) from err
     h = _load_input(args.input)
     if h.n_terms == 0:
         raise CliInputError(f"{args.input}: no groupable terms")
     graph = build_complement_graph(h, args.mode)
-    records = [_run_method(h, graph, m, args) for m in methods]
+    records = [_run_method(h, graph, m, args, config) for m in methods]
     report = {
         "schema_version": REPORT_SCHEMA_VERSION,
         "system": Path(args.input).stem,
@@ -229,12 +236,14 @@ def cmd_compare(args) -> int:
 
 
 def cmd_histogram(args) -> int:
+    if args.samples < 1:
+        raise CliInputError("--samples must be >= 1")
     try:
         sampler = TrainedSampler.load(args.checkpoint)
     except FileNotFoundError as err:
         raise CliInputError(f"cannot read checkpoint {args.checkpoint}: {err}") from err
-    if args.samples < 1:
-        raise CliInputError("--samples must be >= 1")
+    except ValueError as err:  # not an .npz archive (numpy refuses pickled data)
+        raise CliInputError(f"{args.checkpoint} is not a checkpoint: {err}") from err
     samples = sampler.sample(args.samples, rng=args.seed)
     m_values = np.array([m for _, m, _ in samples])
     colors = np.array([c.max_color for c, _, _ in samples])

@@ -16,9 +16,12 @@ Actions are colors 1..color_cap. The action mask enforces, in order:
     leave some uncolored neighbor with every color blocked.
 
 The cap can make a partial coloring a dead end despite the feasibility
-check (this needs several mutually blocking uncolored vertices, which does
-not occur on the bundled systems); the sampler then restarts that
-trajectory and counts the restart.
+check (several mutually blocking uncolored vertices); the sampler then
+restarts that trajectory and counts the restart. The bundled H4 system does
+trigger this: FC at seed 0 with the default cap gives up at iteration 0
+after 1616 restarts; widening the cap (mask_extra_colors, `--mask-extra`)
+is the workaround. Each training iteration takes one flow-matching loss,
+a single pass over every state of the whole rollout batch.
 """
 from __future__ import annotations
 
@@ -191,11 +194,6 @@ class Trajectory:
         return out
 
 
-def _logsumexp(values: np.ndarray) -> float:
-    m = values.max()
-    return float(m + np.log(np.sum(np.exp(values - m))))
-
-
 # State encodings are one-hot with exactly n_vertices+1 active entries (one
 # color slot per vertex plus the cursor), so the input layer never needs the
 # dense encoding: forwards gather rows of W0, and along a trajectory each W0
@@ -204,114 +202,83 @@ def _logsumexp(values: np.ndarray) -> float:
 # is pinned by tests.
 
 
-def _hidden_chain(net: DenseNet, pre: np.ndarray):
-    """Network output from layer-1 preactivations; returns (out, hidden caches)."""
-    if net.n_layers == 1:
-        return pre, []
-    h = np.tanh(pre)
-    hidden = [h]
-    for k in range(1, net.n_layers - 1):
-        h = np.tanh(h @ net.weights[k] + net.biases[k])
-        hidden.append(h)
-    return h @ net.weights[-1] + net.biases[-1], hidden
-
-
-def _head_backward(net: DenseNet, hidden: list[np.ndarray], gout: np.ndarray):
-    """Backprop through the layers above layer 1; returns (grads, delta at
-    layer-1 preactivation). grads[0:2] are left empty for the caller."""
-    grads: list[np.ndarray] = [np.empty(0)] * (2 * net.n_layers)
-    delta = gout
-    for k in range(net.n_layers - 1, 0, -1):
-        grads[2 * k] = hidden[k - 1].T @ delta
-        grads[2 * k + 1] = delta.sum(axis=0)
-        delta = (delta @ net.weights[k].T) * (1.0 - hidden[k - 1] ** 2)
-    return grads, delta
-
-
-def _trajectory_l1_pre(net: DenseNet, mdp: ColoringMDP, actions: np.ndarray) -> np.ndarray:
-    """Layer-1 preactivations for states s_0 .. s_{n-1}, built incrementally
-    (consecutive encodings differ in one vertex slot and the cursor)."""
+def _l1_start(net: DenseNet, mdp: ColoringMDP) -> np.ndarray:
+    """Layer-1 preactivation of the initial state (all uncolored, cursor on
+    the first vertex of the order)."""
     n, cap = mdp.n_vertices, mdp.color_cap
-    w0, b0 = net.weights[0], net.biases[0]
-    cursor_base = n * (cap + 1)
-    order = mdp.vertex_order
-    pre = np.empty((n, b0.shape[0]))
-    current = b0 + w0[np.arange(n) * (cap + 1)].sum(axis=0) + w0[cursor_base + order[0]]
-    pre[0] = current
-    for k in range(1, n):
-        u = int(order[k - 1])
-        color = int(actions[k - 1]) + 1
-        current = (
-            current
-            + w0[u * (cap + 1) + color]
-            - w0[u * (cap + 1)]
-            - w0[cursor_base + u]
-            + w0[cursor_base + int(order[k])]
-        )
-        pre[k] = current
-    return pre
+    w0 = net.weights[0]
+    start = net.biases[0] + w0[np.arange(n) * (cap + 1)].sum(axis=0)
+    return start + w0[n * (cap + 1) + int(mdp.vertex_order[0])]
 
 
-def _trajectory_l1_grads(
-    net: DenseNet, mdp: ColoringMDP, actions: np.ndarray, delta: np.ndarray
-):
-    """(dW0, db0) for sum_k enc(s_k) x delta_k.
-
-    Along the trajectory, vertex order[k]'s uncolored slot is active at steps
-    0..k, its colored slot from step k+1 on, and its cursor row exactly at
-    step k, so each W0 row's coefficient is a prefix sum, a suffix sum, or a
-    single delta row. All three index vectors are duplicate-free.
-    """
+def _l1_step(net: DenseNet, mdp: ColoringMDP, k, colors: np.ndarray) -> np.ndarray:
+    """Change in layer-1 preactivation when vertex order[k] takes `colors`
+    and the cursor moves to order[k+1]. k is a step index with colors (B,),
+    or a vector of steps with colors (B, len(k)) giving rows (B, len(k), h1)."""
     n, cap = mdp.n_vertices, mdp.color_cap
-    cursor_base = n * (cap + 1)
-    order = mdp.vertex_order
-    prefix = np.cumsum(delta, axis=0)
-    suffix = np.flip(np.cumsum(np.flip(delta, axis=0), axis=0), axis=0)
-    dw0 = np.zeros_like(net.weights[0])
-    dw0[order * (cap + 1)] += prefix
-    if n > 1:
-        dw0[order[:-1] * (cap + 1) + actions[:-1] + 1] += suffix[1:]
-    dw0[cursor_base + order] += delta
-    return dw0, delta.sum(axis=0)
+    w0 = net.weights[0]
+    v = mdp.vertex_order[k]
+    slot, cursor = v * (cap + 1), n * (cap + 1)
+    return w0[slot + colors] - w0[slot] - w0[cursor + v] + w0[cursor + mdp.vertex_order[k + 1]]
 
 
 def flow_matching_loss(
-    trajectory: Trajectory, net: DenseNet
+    net: DenseNet, mdp: ColoringMDP, actions: np.ndarray, masks: np.ndarray, rewards: np.ndarray
 ) -> tuple[float, list[np.ndarray]]:
-    """Squared log-ratio of inflow to outflow along the trajectory, with the
-    terminal outflow replaced by the reward. Returns (loss, parameter grads).
+    """Mean flow-matching loss of a rollout batch and its parameter grads.
+
+    actions (B, n) and masks (B, n, cap) are the colors taken and the legal
+    colors at each step; rewards (B,) are the terminal rewards. A
+    trajectory's loss sums the squared log-ratio of inflow to outflow over
+    its states, with the terminal outflow replaced by the reward.
     """
-    mdp = trajectory.mdp
-    n = trajectory.n_steps
-    pre = _trajectory_l1_pre(net, mdp, trajectory.actions)
-    out, hidden = _hidden_chain(net, pre)  # (n, cap) log-flows
+    batch, n = actions.shape
+    cap = mdp.color_cap
+    # a sequential cumsum of the step rows adds them in the rollout's order
+    pre = np.empty((batch, n, net.layer_sizes[1]))
+    pre[:, 0] = _l1_start(net, mdp)
+    pre[:, 1:] = _l1_step(net, mdp, np.arange(n - 1), actions[:, :-1] + 1)
+    np.cumsum(pre, axis=1, out=pre)
+    out, hidden = net.forward_from_pre(pre.reshape(batch * n, -1))
+    out = out.reshape(batch, n, cap)  # log-flows of s_0 .. s_{n-1}
     if not np.all(np.isfinite(out)):
         raise NumericError("non-finite log-flows in loss evaluation")
+    if np.any(rewards <= 0):
+        raise NumericError(f"non-positive terminal reward {rewards.min()}")
 
-    actions = trajectory.actions
-    edge_log = out[np.arange(n), actions]  # log F(s_k -> s_{k+1})
-    residuals = np.zeros(n + 1)
-    softmaxes = np.zeros_like(out)
-    for k in range(1, n):
-        allowed = trajectory.masks[k]
-        outflow_log = _logsumexp(out[k][allowed])
-        residuals[k] = edge_log[k - 1] - outflow_log
-        shifted = np.exp(out[k][allowed] - out[k][allowed].max())
-        softmaxes[k][allowed] = shifted / shifted.sum()
-    if trajectory.reward <= 0:
-        raise NumericError(f"non-positive terminal reward {trajectory.reward}")
-    residuals[n] = edge_log[n - 1] - np.log(trajectory.reward)
-    loss = float(np.sum(residuals[1:] ** 2))
+    b_idx, k_idx = np.ogrid[:batch, :n]
+    edge_log = out[b_idx, k_idx, actions]  # log F(s_k -> s_{k+1})
+    top = np.where(masks, out, -np.inf).max(axis=2, keepdims=True)
+    flows = np.exp(np.where(masks, out - top, -np.inf))
+    totals = flows.sum(axis=2)
+    # residual k compares s_k's inflow with its outflow (the reward at s_n)
+    residuals = np.zeros((batch, n + 1))
+    residuals[:, 1:n] = edge_log[:, :-1] - (top[:, 1:, 0] + np.log(totals[:, 1:]))
+    residuals[:, n] = edge_log[:, -1] - np.log(rewards)
+    loss = float(np.sum(residuals**2)) / batch
     if not np.isfinite(loss):
         raise NumericError("non-finite flow-matching loss")
 
-    output_grads = np.zeros_like(out)
+    gout = np.zeros_like(out)
     # numerator of residual k lives on the parent row k-1, taken action
-    output_grads[np.arange(n), actions] += 2.0 * residuals[1 : n + 1]
+    gout[b_idx, k_idx, actions] += 2.0 * residuals[:, 1:]
     # denominator of residual k (non-terminal) spreads over row k's softmax
-    output_grads -= 2.0 * residuals[:n, None] * softmaxes
-    grads, delta1 = _head_backward(net, hidden, output_grads)
-    grads[0], grads[1] = _trajectory_l1_grads(net, mdp, trajectory.actions, delta1)
+    gout -= 2.0 * residuals[:, :n, None] * (flows / totals[:, :, None])
+    gout /= batch
+    grads, delta = net.backward_to_pre(hidden, gout.reshape(batch * n, cap))
+    delta = delta.reshape(batch, n, -1)
+
+    # Vertex order[k]'s uncolored row is active in s_0..s_k, its cursor row
+    # in s_k, and its colored row in s_{k+1}..s_{n-1}, so each W0 row's
+    # coefficient is a prefix sum, a single step, or a per-trajectory suffix.
+    order = mdp.vertex_order
+    per_step = delta.sum(axis=0)
+    suffix = np.flip(np.cumsum(np.flip(delta[:, 1:], axis=1), axis=1), axis=1)
+    dw0 = np.zeros_like(net.weights[0])
+    dw0[order * (cap + 1)] = np.cumsum(per_step, axis=0)
+    dw0[n * (cap + 1) + order] = per_step
+    np.add.at(dw0, order[:-1] * (cap + 1) + actions[:, :-1] + 1, suffix)
+    grads[0], grads[1] = dw0, per_step.sum(axis=0)
     return loss, grads
 
 
@@ -332,10 +299,7 @@ class _BatchRollout:
         self.actions = np.zeros((batch, n), dtype=np.int64)
         self.masks = np.zeros((batch, n, cap), dtype=bool)
         self.dead = np.zeros(batch, dtype=bool)
-        w0, b0 = net.weights[0], net.biases[0]
-        start = b0 + w0[np.arange(n) * (cap + 1)].sum(axis=0)
-        start = start + w0[n * (cap + 1) + int(mdp.vertex_order[0])]
-        self.l1_pre = np.tile(start, (batch, 1))
+        self.l1_pre = np.tile(_l1_start(net, mdp), (batch, 1))
 
     def step_masks(self, k: int) -> np.ndarray:
         mdp = self.mdp
@@ -353,11 +317,10 @@ class _BatchRollout:
         return mask
 
     def logits(self) -> np.ndarray:
-        return _hidden_chain(self.net, self.l1_pre)[0]
+        return self.net.forward_from_pre(self.l1_pre)[0]
 
     def apply(self, k: int, actions: np.ndarray, mask: np.ndarray) -> None:
         mdp = self.mdp
-        n, cap = mdp.n_vertices, mdp.color_cap
         v = int(mdp.vertex_order[k])
         alive = ~self.dead
         picked = mask[np.arange(actions.shape[0]), actions]
@@ -372,15 +335,9 @@ class _BatchRollout:
             rows = np.flatnonzero(alive)
             for u in mdp.later_neighbors[k]:
                 self.blocked[rows, u, actions[rows]] = True
-        if k + 1 < n:
-            w0 = self.net.weights[0]
+        if k + 1 < mdp.n_vertices:
             rows = np.flatnonzero(alive)
-            self.l1_pre[rows] += (
-                w0[v * (cap + 1) + colors[rows]]
-                - w0[v * (cap + 1)]
-                - w0[n * (cap + 1) + v]
-                + w0[n * (cap + 1) + int(mdp.vertex_order[k + 1])]
-            )
+            self.l1_pre[rows] += _l1_step(self.net, mdp, k, colors[rows])
 
 
 def _sample_batch(
@@ -640,9 +597,9 @@ def train(h: QubitHamiltonian, config: TrainConfig | None = None) -> TrainedSamp
     """Flow-matching training loop; returns the sampler with per-iteration log.
 
     The color cap is the random-sequential greedy color count (same seed)
-    plus config.mask_extra_colors. Each iteration samples a batch, averages
-    the per-trajectory loss gradients, and feeds one gradient to Adam, which
-    updates parameters every accumulation_period iterations.
+    plus config.mask_extra_colors. Each iteration samples a batch, takes the
+    batch-mean flow-matching loss and its gradient, and feeds that gradient to
+    Adam, which updates parameters every accumulation_period iterations.
     """
     if config is None:
         config = TrainConfig()
@@ -667,24 +624,8 @@ def train(h: QubitHamiltonian, config: TrainConfig | None = None) -> TrainedSamp
             rollout, restarts = _sample_batch(net, mdp, batch, rng)
             sampler.dead_end_restarts += restarts
             rewards = sampler._record(rollout, iteration)
-            total_loss = 0.0
-            grad_sum = [np.zeros_like(p) for p in net.parameters()]
-            for b in range(batch):
-                trajectory = Trajectory(
-                    mdp=mdp,
-                    actions=rollout.actions[b],
-                    masks=rollout.masks[b],
-                    coloring=Coloring(rollout.assignments[b].copy()),
-                    reward=float(rewards[b]),
-                    m_est=float("nan"),
-                )
-                loss, grads = flow_matching_loss(trajectory, net)
-                total_loss += loss
-                for acc, g in zip(grad_sum, grads):
-                    acc += g
-            for acc in grad_sum:
-                acc /= batch
-            adam_accumulate_and_step(adam, net.parameters(), grad_sum)
+            mean_loss, grads = flow_matching_loss(net, mdp, rollout.actions, rollout.masks, rewards)
+            adam_accumulate_and_step(adam, net.parameters(), grads)
             check_finite(net, f"iteration {iteration}")
         except NumericError as err:
             raise NumericError(f"iteration {iteration}: {err}") from err
@@ -692,7 +633,7 @@ def train(h: QubitHamiltonian, config: TrainConfig | None = None) -> TrainedSamp
         sampler.log.append(
             IterationLog(
                 iteration=iteration,
-                mean_loss=total_loss / batch,
+                mean_loss=mean_loss,
                 best_reward=sampler.best_reward,
                 best_m_est=best.m_est,
                 best_colors=best.color_count,

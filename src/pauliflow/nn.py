@@ -76,18 +76,21 @@ class DenseNet:
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Outputs for a vector (d,) or batch (B, d); same leading shape back."""
-        out, _ = self._forward_cached(x)
-        return out
-
-    def _forward_cached(self, x: np.ndarray):
         x, single = self._check_input(x)
-        activations = [x]
-        h = x
-        for k in range(self.n_layers - 1):
+        out, _ = self.forward_from_pre(x @ self.weights[0] + self.biases[0])
+        return out[0] if single else out
+
+    def forward_from_pre(self, pre: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Outputs for rows of layer-1 preactivations (B, h1), plus the tanh
+        activations of every hidden layer (empty for a one-layer net)."""
+        if self.n_layers == 1:
+            return pre, []
+        h = np.tanh(pre)
+        hidden = [h]
+        for k in range(1, self.n_layers - 1):
             h = np.tanh(h @ self.weights[k] + self.biases[k])
-            activations.append(h)
-        out = h @ self.weights[-1] + self.biases[-1]
-        return (out[0] if single else out), activations
+            hidden.append(h)
+        return h @ self.weights[-1] + self.biases[-1], hidden
 
     def backward(self, x: np.ndarray, output_grad: np.ndarray) -> list[np.ndarray]:
         """Gradient of <forward(x), output_grad> w.r.t. parameters.
@@ -103,20 +106,25 @@ class DenseNet:
             raise DimensionError(
                 f"output_grad shape {gout.shape} does not match ({x.shape[0]}, {self.layer_sizes[-1]})"
             )
-        _, activations = self._forward_cached(x)
-        return self._backward_from_activations(activations, gout)
+        _, hidden = self.forward_from_pre(x @ self.weights[0] + self.biases[0])
+        grads, delta = self.backward_to_pre(hidden, gout)
+        grads[0], grads[1] = x.T @ delta, delta.sum(axis=0)
+        return grads
 
-    def _backward_from_activations(
-        self, activations: list[np.ndarray], gout: np.ndarray
-    ) -> list[np.ndarray]:
+    def backward_to_pre(
+        self, hidden: list[np.ndarray], gout: np.ndarray
+    ) -> tuple[list[np.ndarray], np.ndarray]:
+        """Backprop of output gradients (B, out) through the layers above the
+        input layer, given forward_from_pre's hidden activations. Returns
+        (grads shaped like parameters() with [0:2] left empty, gradient at the
+        layer-1 preactivations)."""
         grads: list[np.ndarray] = [np.empty(0)] * (2 * self.n_layers)
         delta = gout
-        for k in range(self.n_layers - 1, -1, -1):
-            grads[2 * k] = activations[k].T @ delta
+        for k in range(self.n_layers - 1, 0, -1):
+            grads[2 * k] = hidden[k - 1].T @ delta
             grads[2 * k + 1] = delta.sum(axis=0)
-            if k > 0:
-                delta = (delta @ self.weights[k].T) * (1.0 - activations[k] ** 2)
-        return grads
+            delta = (delta @ self.weights[k].T) * (1.0 - hidden[k - 1] ** 2)
+        return grads, delta
 
     def copy(self) -> "DenseNet":
         return DenseNet([w.copy() for w in self.weights], [b.copy() for b in self.biases])

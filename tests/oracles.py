@@ -2,6 +2,9 @@
 
 These deliberately avoid the package's symplectic code paths: words are
 handled as letter strings and checks go through explicit dense matrices.
+The flow-matching oracle likewise avoids the sampler's sparse input layer:
+it walks each trajectory through the scalar MDP and feeds dense state
+encodings to DenseNet.forward/backward, one trajectory at a time.
 """
 import itertools
 
@@ -52,3 +55,41 @@ def estimate_measurements_oracle(coeffs, groups, epsilon: float) -> float:
     for group in groups:
         total += np.sqrt(sum(coeffs[j] ** 2 for j in group))
     return float(total**2 / epsilon**2)
+
+
+def flow_matching_loss_dense(net, mdp, actions, rewards):
+    """Batch-mean flow-matching loss and parameter gradients, per trajectory
+    from dense encodings of its states s_0 .. s_{n-1}; legal colors come from
+    the scalar legal_actions, not from the rollout's masks."""
+    from pauliflow.gflownet import encode_state, legal_actions
+
+    batch, n = actions.shape
+    total = 0.0
+    grads = [np.zeros_like(p) for p in net.parameters()]
+    for b in range(batch):
+        state = mdp.initial_state()
+        encodings, masks = [], []
+        for action in actions[b]:
+            encodings.append(encode_state(state))
+            masks.append(legal_actions(state))
+            state = state.child(int(action))
+        enc = np.stack(encodings)
+        out = net.forward(enc)
+        gout = np.zeros_like(out)
+        for k in range(1, n + 1):
+            inflow = out[k - 1, actions[b, k - 1]]
+            if k < n:
+                allowed = out[k][masks[k]]
+                top = allowed.max()
+                outflow = top + np.log(np.sum(np.exp(allowed - top)))
+            else:
+                outflow = np.log(rewards[b])
+            residual = inflow - outflow
+            total += residual**2
+            gout[k - 1, actions[b, k - 1]] += 2.0 * residual
+            if k < n:
+                softmax = np.where(masks[k], np.exp(out[k] - top), 0.0)
+                gout[k] -= 2.0 * residual * softmax / softmax.sum()
+        for acc, g in zip(grads, net.backward(enc, gout)):
+            acc += g
+    return total / batch, [g / batch for g in grads]

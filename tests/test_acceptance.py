@@ -292,6 +292,7 @@ def test_criterion_6_distribution_fidelity():
     )
     assert final_loss < 1e-5
     assert tv < 0.15
+    assert set(counts) <= set(rewards)
 
 
 def test_criterion_7_gradient_correctness():

@@ -9,6 +9,7 @@ from pauliflow.hamio import bundled_path, load_hamiltonian
 
 H2 = bundled_path("h2_sto3g_1A_jw.ham")
 SYNTH = bundled_path("synthetic_10term.ham")
+H4 = bundled_path("h4_chain_sto3g_1A_jw.ham")
 
 FAST_GFN = ["--iterations", "3", "--traj-per-iter", "4"]
 
@@ -105,6 +106,30 @@ class TestGroup:
         with pytest.raises(SystemExit) as exc:
             main(["group", "--input", H2, "--mode", "fc", "--method", "full", "--bogus"])
         assert exc.value.code == 2
+
+
+BAD_INPUTS = {
+    "epsilon-0": (["group", "--input", H2, "--mode", "fc", "--method", "full", "--epsilon", "0"], "epsilon"),
+    "lambda0-negative": (["group", "--input", H2, "--mode", "fc", "--method", "gflownet", "--lambda0", "-1"], "lambda0"),
+    "iterations-0": (["group", "--input", H2, "--mode", "fc", "--method", "gflownet", "--iterations", "0"], "iterations"),
+    "traj-per-iter-0": (["group", "--input", H2, "--mode", "fc", "--method", "gflownet", "--traj-per-iter", "0"], "trajectories"),
+    "mask-extra-negative": (["group", "--input", H2, "--mode", "fc", "--method", "gflownet", "--mask-extra", "-1"], "mask_extra"),
+    "exact-on-h4": (["group", "--input", H4, "--mode", "fc", "--method", "exact"], "exact-search limit"),
+    "compare-exact-on-h4": (["compare", "--input", H4, "--mode", "fc", "--methods", "full,exact"], "exact-search limit"),
+    "histogram-ham-as-checkpoint": (["histogram", "--checkpoint", H2, "--samples", "5"], "not a checkpoint"),
+    "histogram-samples-before-load": (["histogram", "--checkpoint", H2, "--samples", "0"], "--samples"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_INPUTS)
+def test_bad_input_exits_2_with_error_line(capsys, tmp_path, case):
+    argv, message = BAD_INPUTS[case]
+    if argv[0] == "histogram":
+        argv = argv + ["--out", str(tmp_path / "h.csv")]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and message in err
 
 
 class TestCompare:

@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
 
+from oracles import flow_matching_loss_dense
 from pauliflow.gflownet import (
     ColoringMDP,
     NoActionError,
     TrainConfig,
     TrainedSampler,
-    Trajectory,
+    _BatchRollout,
+    _l1_start,
+    _l1_step,
+    _terminal_metrics,
     encode_state,
     enumerate_terminal_assignments,
     flow_matching_loss,
@@ -16,10 +20,17 @@ from pauliflow.gflownet import (
     train,
     training_log_csv,
 )
-from pauliflow.graphs import CompatGraph, build_complement_graph, greedy_color, validate_coloring
+from pauliflow.graphs import (
+    Coloring,
+    CompatGraph,
+    Grouping,
+    build_complement_graph,
+    coloring_to_grouping,
+    greedy_color,
+    validate_coloring,
+)
 from pauliflow.hamio import bundled_path, load_hamiltonian, loads_hamiltonian
-from pauliflow.measurement import MeasurementConfig, estimate_measurements
-from pauliflow.graphs import Grouping
+from pauliflow.measurement import MeasurementConfig, estimate_measurements, reward
 from pauliflow.nn import DenseNet
 from pauliflow.pauli import PauliWord, QubitHamiltonian
 
@@ -35,6 +46,23 @@ def random_graph(n, p, seed):
     rng = np.random.Generator(np.random.PCG64(seed))
     adj = np.triu(rng.random((n, n)) < p, k=1)
     return CompatGraph(mode="fc", adjacency=adj | adj.T)
+
+
+def sample_batch(net, mdp, rng, batch, hamiltonian=None, measurement=MeasurementConfig()):
+    """(actions, masks, rewards) of `batch` independent rollouts."""
+    trajs = [sample_trajectory(net, mdp, rng, hamiltonian, measurement) for _ in range(batch)]
+    return (
+        np.stack([t.actions for t in trajs]),
+        np.stack([t.masks for t in trajs]),
+        np.array([t.reward for t in trajs]),
+    )
+
+
+def max_relative_error(got, want):
+    return max(
+        float(np.max(np.abs(g - w), initial=0.0) / max(np.max(np.abs(w), initial=0.0), 1e-300))
+        for g, w in zip(got, want)
+    )
 
 
 def tiny_config(**overrides):
@@ -238,7 +266,7 @@ class TestSampling:
 
 
 class TestSparseInputFastPath:
-    """The trajectory loss avoids dense one-hot encodings; pin it to them."""
+    """The rollout and the loss avoid dense one-hot encodings; pin them to them."""
 
     def trajectory_and_encodings(self, seed):
         g = random_graph(6, 0.5, seed)
@@ -253,32 +281,28 @@ class TestSparseInputFastPath:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_l1_pre_matches_dense(self, seed):
-        from pauliflow.gflownet import _trajectory_l1_pre
-
         mdp, net, traj, enc = self.trajectory_and_encodings(seed)
-        fast = _trajectory_l1_pre(net, mdp, traj.actions)
+        steps = _l1_step(net, mdp, np.arange(traj.n_steps - 1), traj.actions[None, :-1] + 1)
+        fast = np.cumsum(np.vstack([_l1_start(net, mdp), steps[0]]), axis=0)
         dense = enc @ net.weights[0] + net.biases[0]
         assert np.allclose(fast, dense, atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_l1_grads_match_dense(self, seed):
-        from pauliflow.gflownet import _trajectory_l1_grads
-
         mdp, net, traj, enc = self.trajectory_and_encodings(seed)
-        rng = np.random.Generator(np.random.PCG64(seed + 1))
-        delta = rng.normal(size=(traj.n_steps, net.layer_sizes[1]))
-        dw0, db0 = _trajectory_l1_grads(net, mdp, traj.actions, delta)
-        assert np.allclose(dw0, enc.T @ delta, atol=1e-12)
-        assert np.allclose(db0, delta.sum(axis=0), atol=1e-12)
+        rewards = np.array([0.5 + seed])
+        _, grads = flow_matching_loss(net, mdp, traj.actions[None], traj.masks[None], rewards)
+        _, dense = flow_matching_loss_dense(net, mdp, traj.actions[None], rewards)
+        assert np.allclose(grads[0], dense[0], atol=1e-12)
+        assert np.allclose(grads[1], dense[1], atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_rollout_logits_match_dense_forward(self, seed):
         mdp, net, traj, enc = self.trajectory_and_encodings(seed)
-        dense_logits = net.forward(enc)
-        from pauliflow.gflownet import _hidden_chain, _trajectory_l1_pre
-
-        fast_logits, _ = _hidden_chain(net, _trajectory_l1_pre(net, mdp, traj.actions))
-        assert np.allclose(fast_logits, dense_logits, atol=1e-10)
+        rollout = _BatchRollout(net, mdp, 1)
+        for k in range(traj.n_steps):
+            assert np.allclose(rollout.logits()[0], net.forward(enc[k]), atol=1e-10)
+            rollout.apply(k, traj.actions[k : k + 1], traj.masks[k][None])
 
 
 class TestFlowMatchingLoss:
@@ -303,10 +327,9 @@ class TestFlowMatchingLoss:
         assert np.allclose(net.forward(np.stack([e0, e1])), targets, atol=1e-9)
 
         rng = np.random.Generator(np.random.PCG64(0))
-        for _ in range(4):
-            traj = sample_trajectory(net, mdp, rng, hamiltonian=h, measurement=cfg)
-            loss, grads = flow_matching_loss(traj, net)
-            assert loss == pytest.approx(0.0, abs=1e-15)
+        batch = sample_batch(net, mdp, rng, 4, hamiltonian=h, measurement=cfg)
+        loss, grads = flow_matching_loss(net, mdp, *batch)
+        assert loss == pytest.approx(0.0, abs=1e-15)
 
     def test_loss_nonnegative_and_grads_shaped(self):
         g = random_graph(5, 0.5, 3)
@@ -318,8 +341,7 @@ class TestFlowMatchingLoss:
         )
         net = DenseNet.initialize([mdp.encoding_dim, 12, cap], seed=3)
         rng = np.random.Generator(np.random.PCG64(3))
-        traj = sample_trajectory(net, mdp, rng, hamiltonian=h)
-        loss, grads = flow_matching_loss(traj, net)
+        loss, grads = flow_matching_loss(net, mdp, *sample_batch(net, mdp, rng, 3, hamiltonian=h))
         assert loss >= 0.0
         for g_arr, p in zip(grads, net.parameters()):
             assert g_arr.shape == p.shape
@@ -334,20 +356,102 @@ class TestFlowMatchingLoss:
         )
         net = DenseNet.initialize([mdp.encoding_dim, 6, cap], seed=7)
         rng = np.random.Generator(np.random.PCG64(7))
-        traj = sample_trajectory(net, mdp, rng, hamiltonian=h)
-        _, grads = flow_matching_loss(traj, net)
+        batch = sample_batch(net, mdp, rng, 3, hamiltonian=h)
+        _, grads = flow_matching_loss(net, mdp, *batch)
         step = 1e-6
         for p, g_arr in zip(net.parameters(), grads):
             flat, gflat = p.reshape(-1), g_arr.reshape(-1)
             for i in range(0, flat.size, max(1, flat.size // 5)):
                 original = flat[i]
                 flat[i] = original + step
-                plus, _ = flow_matching_loss(traj, net)
+                plus, _ = flow_matching_loss(net, mdp, *batch)
                 flat[i] = original - step
-                minus, _ = flow_matching_loss(traj, net)
+                minus, _ = flow_matching_loss(net, mdp, *batch)
                 flat[i] = original
                 numeric = (plus - minus) / (2 * step)
                 assert numeric == pytest.approx(gflat[i], rel=2e-4, abs=1e-7)
+
+    @pytest.mark.parametrize(
+        "n_vertices, hidden, batch",
+        [(7, (10, 7), 5), (1, (4,), 3), (6, (), 4), (5, (9, 8, 6), 1), (8, (12,), 16)],
+    )
+    def test_matches_dense_oracle(self, n_vertices, hidden, batch):
+        seed = n_vertices + batch
+        g = random_graph(n_vertices, 0.5, seed)
+        cap = greedy_color(g, "random_sequential", seed=seed).max_color + 1
+        mdp = ColoringMDP(g, cap)
+        net = DenseNet.initialize([mdp.encoding_dim, *hidden, cap], seed=seed)
+        rng = np.random.Generator(np.random.PCG64(seed))
+        actions, masks, _ = sample_batch(net, mdp, rng, batch)
+        rewards = rng.uniform(0.1, 5.0, size=batch)
+        loss, grads = flow_matching_loss(net, mdp, actions, masks, rewards)
+        dense_loss, dense_grads = flow_matching_loss_dense(net, mdp, actions, rewards)
+        assert loss == pytest.approx(dense_loss, rel=1e-10)
+        assert max_relative_error(grads, dense_grads) < 1e-10
+
+    def test_matches_dense_oracle_on_h2(self):
+        h = load_hamiltonian(bundled_path("h2_sto3g_1A_jw.ham"))
+        g = build_complement_graph(h, "fc")
+        mdp = ColoringMDP(g, greedy_color(g, "random_sequential", seed=0).max_color + 1)
+        net = DenseNet.initialize([mdp.encoding_dim, 16, 16, mdp.n_actions], seed=0)
+        rng = np.random.Generator(np.random.PCG64(0))
+        actions, masks, rewards = sample_batch(net, mdp, rng, 4, hamiltonian=h)
+        loss, grads = flow_matching_loss(net, mdp, actions, masks, rewards)
+        dense_loss, dense_grads = flow_matching_loss_dense(net, mdp, actions, rewards)
+        assert loss == pytest.approx(dense_loss, rel=1e-10)
+        assert max_relative_error(grads, dense_grads) < 1e-10
+
+
+def random_proper_assignment(g, rng):
+    """Proper coloring with colors 1..k; each vertex, in random order, takes a
+    random color among the used ones not held by a neighbor, or a fresh one."""
+    assignment = np.zeros(g.n_vertices, dtype=np.int64)
+    for v in rng.permutation(g.n_vertices):
+        blocked = set(assignment[g.neighbors(int(v))].tolist())
+        feasible = [c for c in range(1, int(assignment.max(initial=0)) + 2) if c not in blocked]
+        assignment[v] = rng.choice(feasible)
+    return assignment
+
+
+def random_hamiltonian(rng, n_qubits=3):
+    n_terms = int(rng.integers(1, 13))
+    texts = []
+    while len(texts) < n_terms:
+        text = "".join(rng.choice(list("IXYZ"), size=n_qubits))
+        if text != "I" * n_qubits and text not in texts:
+            texts.append(text)
+    return QubitHamiltonian(n_qubits, [(float(rng.normal()), PauliWord.from_text(t)) for t in texts])
+
+
+class TestTerminalMetrics:
+    """The sampler computes m_est and reward itself from an assignment row;
+    they must equal measurement.py's estimate_measurements and reward."""
+
+    def check(self, h, g, assignment, rng):
+        cfg = MeasurementConfig(epsilon=float(rng.uniform(1e-3, 0.1)), lambda0=float(rng.uniform(1.0, 1e6)))
+        coloring = Coloring(assignment)
+        cap = coloring.max_color + int(rng.integers(0, 3))
+        m_est, rew, colors = _terminal_metrics(h, cap, assignment, cfg)
+        grouping = coloring_to_grouping(g, coloring)
+        assert m_est == pytest.approx(estimate_measurements(h, grouping, cfg.epsilon), rel=1e-12, abs=0)
+        assert rew == pytest.approx(reward(h, g, coloring, cfg), rel=1e-12, abs=0)
+        assert colors == coloring.max_color
+
+    def test_random_hamiltonians(self):
+        rng = np.random.Generator(np.random.PCG64(404))
+        for trial in range(200):
+            h = random_hamiltonian(rng)
+            g = build_complement_graph(h, ("fc", "qwc")[trial % 2])
+            self.check(h, g, random_proper_assignment(g, rng), rng)
+
+    @pytest.mark.parametrize("name", ["h2_sto3g_1A_jw.ham", "h4_chain_sto3g_1A_jw.ham"])
+    @pytest.mark.parametrize("mode", ["fc", "qwc"])
+    def test_bundled_systems(self, name, mode):
+        h = load_hamiltonian(bundled_path(name))
+        g = build_complement_graph(h, mode)
+        rng = np.random.Generator(np.random.PCG64(5))
+        for _ in range(20):
+            self.check(h, g, random_proper_assignment(g, rng), rng)
 
 
 class TestTraining:
@@ -414,41 +518,3 @@ class TestTraining:
             assert np.array_equal(ca.assignment, cb.assignment)
             assert ma == mb and ra == rb
         assert loaded.best.m_est == sampler.best.m_est
-
-
-class TestDistributionFidelity:
-    def test_small_instance_trains_to_reward_proportional_sampling(self):
-        # 4 compatible terms (edgeless conflict graph), cap 2 after slack
-        h = loads_hamiltonian("qubits: 2\n0.9 Z0\n0.7 Z1\n0.5 Z0 Z1\n0.3 I\n0.3 X0 X1\n")
-        assert h.n_terms == 4
-        config = TrainConfig(
-            iterations=4000,
-            trajectories_per_iteration=32,
-            seed=11,
-            mask_extra_colors=1,
-            mode="qwc",
-            learning_rate=3e-3,
-            hidden_sizes=(48, 48),
-            accumulation_period=1,
-            measurement=MeasurementConfig(epsilon=0.05, lambda0=10.0),
-        )
-        sampler = train(h, config)
-        assert sampler.log[-1].mean_loss < 1e-5
-
-        terminals = enumerate_terminal_assignments(sampler.mdp)
-        rewards = {}
-        for assignment in terminals:
-            m_est, rew, _ = sampler._metrics(assignment)
-            rewards[assignment.tobytes()] = rew
-        z = sum(rewards.values())
-
-        n = 100_000
-        counts = {}
-        for coloring, _, _ in sampler.sample(n, rng=123):
-            key = coloring.assignment.astype(np.int64).tobytes()
-            counts[key] = counts.get(key, 0) + 1
-        assert set(counts) <= set(rewards)
-        tv = 0.5 * sum(
-            abs(counts.get(k, 0) / n - rewards[k] / z) for k in rewards
-        )
-        assert tv < 0.15, f"total variation {tv:.4f}"
