@@ -20,8 +20,9 @@ check (several mutually blocking uncolored vertices); the sampler then
 restarts that trajectory and counts the restart. The bundled H4 system does
 trigger this: FC at seed 0 with the default cap gives up at iteration 0
 after 1616 restarts; widening the cap (mask_extra_colors, `--mask-extra`)
-is the workaround. Each training iteration takes one flow-matching loss,
-a single pass over every state of the whole rollout batch.
+is the workaround. Each training iteration runs the network forward once:
+the training rollout records every state's log-flows and hidden activations,
+and the flow-matching loss reuses them and runs only the backward pass.
 """
 from __future__ import annotations
 
@@ -213,8 +214,9 @@ def _l1_start(net: DenseNet, mdp: ColoringMDP) -> np.ndarray:
 
 def _l1_step(net: DenseNet, mdp: ColoringMDP, k, colors: np.ndarray) -> np.ndarray:
     """Change in layer-1 preactivation when vertex order[k] takes `colors`
-    and the cursor moves to order[k+1]. k is a step index with colors (B,),
-    or a vector of steps with colors (B, len(k)) giving rows (B, len(k), h1)."""
+    and the cursor moves to order[k+1]. k is a step index with colors (B,)
+    giving rows (B, h1); the same expression also takes a vector of steps
+    with colors (B, len(k)), giving rows (B, len(k), h1)."""
     n, cap = mdp.n_vertices, mdp.color_cap
     w0 = net.weights[0]
     v = mdp.vertex_order[k]
@@ -223,33 +225,35 @@ def _l1_step(net: DenseNet, mdp: ColoringMDP, k, colors: np.ndarray) -> np.ndarr
 
 
 def flow_matching_loss(
-    net: DenseNet, mdp: ColoringMDP, actions: np.ndarray, masks: np.ndarray, rewards: np.ndarray
+    net: DenseNet,
+    mdp: ColoringMDP,
+    actions: np.ndarray,
+    masks: np.ndarray,
+    rewards: np.ndarray,
+    log_flows: np.ndarray,
+    hidden: list[np.ndarray],
 ) -> tuple[float, list[np.ndarray]]:
     """Mean flow-matching loss of a rollout batch and its parameter grads.
 
     actions (B, n) and masks (B, n, cap) are the colors taken and the legal
-    colors at each step; rewards (B,) are the terminal rewards. A
+    colors at each step; rewards (B,) are the terminal rewards. log_flows
+    (B, n, cap) and hidden (one (B, n, h_k) array per hidden layer) are the
+    network's outputs and tanh activations at states s_0 .. s_{n-1}, as the
+    training rollout recorded them, so only the backward pass runs here. A
     trajectory's loss sums the squared log-ratio of inflow to outflow over
     its states, with the terminal outflow replaced by the reward.
     """
     batch, n = actions.shape
     cap = mdp.color_cap
-    # a sequential cumsum of the step rows adds them in the rollout's order
-    pre = np.empty((batch, n, net.layer_sizes[1]))
-    pre[:, 0] = _l1_start(net, mdp)
-    pre[:, 1:] = _l1_step(net, mdp, np.arange(n - 1), actions[:, :-1] + 1)
-    np.cumsum(pre, axis=1, out=pre)
-    out, hidden = net.forward_from_pre(pre.reshape(batch * n, -1))
-    out = out.reshape(batch, n, cap)  # log-flows of s_0 .. s_{n-1}
-    if not np.all(np.isfinite(out)):
+    if not np.all(np.isfinite(log_flows)):
         raise NumericError("non-finite log-flows in loss evaluation")
     if np.any(rewards <= 0):
         raise NumericError(f"non-positive terminal reward {rewards.min()}")
 
     b_idx, k_idx = np.ogrid[:batch, :n]
-    edge_log = out[b_idx, k_idx, actions]  # log F(s_k -> s_{k+1})
-    top = np.where(masks, out, -np.inf).max(axis=2, keepdims=True)
-    flows = np.exp(np.where(masks, out - top, -np.inf))
+    edge_log = log_flows[b_idx, k_idx, actions]  # log F(s_k -> s_{k+1})
+    top = np.where(masks, log_flows, -np.inf).max(axis=2, keepdims=True)
+    flows = np.exp(np.where(masks, log_flows - top, -np.inf))
     totals = flows.sum(axis=2)
     # residual k compares s_k's inflow with its outflow (the reward at s_n)
     residuals = np.zeros((batch, n + 1))
@@ -259,12 +263,13 @@ def flow_matching_loss(
     if not np.isfinite(loss):
         raise NumericError("non-finite flow-matching loss")
 
-    gout = np.zeros_like(out)
+    gout = np.zeros_like(log_flows)
     # numerator of residual k lives on the parent row k-1, taken action
     gout[b_idx, k_idx, actions] += 2.0 * residuals[:, 1:]
     # denominator of residual k (non-terminal) spreads over row k's softmax
     gout -= 2.0 * residuals[:, :n, None] * (flows / totals[:, :, None])
     gout /= batch
+    hidden = [h.reshape(batch * n, -1) for h in hidden]
     grads, delta = net.backward_to_pre(hidden, gout.reshape(batch * n, cap))
     delta = delta.reshape(batch, n, -1)
 
@@ -277,7 +282,10 @@ def flow_matching_loss(
     dw0 = np.zeros_like(net.weights[0])
     dw0[order * (cap + 1)] = np.cumsum(per_step, axis=0)
     dw0[n * (cap + 1) + order] = per_step
-    np.add.at(dw0, order[:-1] * (cap + 1) + actions[:, :-1] + 1, suffix)
+    # a trajectory colors each vertex once, so its colored rows are distinct
+    colored = order[:-1] * (cap + 1) + actions[:, :-1] + 1
+    for b in range(batch):
+        dw0[colored[b]] += suffix[b]
     grads[0], grads[1] = dw0, per_step.sum(axis=0)
     return loss, grads
 
@@ -286,10 +294,12 @@ class _BatchRollout:
     """Lockstep sampler: every trajectory colors vertex order[k] at step k.
 
     Layer-1 preactivations are maintained incrementally per row, since one
-    step changes a single vertex slot and the cursor in the encoding.
+    step changes a single vertex slot and the cursor in the encoding. With
+    record=True, each step's log-flows and hidden activations are kept for
+    the loss (B * n_vertices rows per layer, so sampling does not record).
     """
 
-    def __init__(self, net: DenseNet, mdp: ColoringMDP, batch: int):
+    def __init__(self, net: DenseNet, mdp: ColoringMDP, batch: int, record: bool = False):
         n, cap = mdp.n_vertices, mdp.color_cap
         self.net = net
         self.mdp = mdp
@@ -300,6 +310,11 @@ class _BatchRollout:
         self.masks = np.zeros((batch, n, cap), dtype=bool)
         self.dead = np.zeros(batch, dtype=bool)
         self.l1_pre = np.tile(_l1_start(net, mdp), (batch, 1))
+        self.log_flows: np.ndarray | None = None
+        self.hidden: list[np.ndarray] = []
+        if record:
+            self.log_flows = np.empty((batch, n, cap))
+            self.hidden = [np.empty((batch, n, size)) for size in net.layer_sizes[1:-1]]
 
     def step_masks(self, k: int) -> np.ndarray:
         mdp = self.mdp
@@ -308,16 +323,20 @@ class _BatchRollout:
         limit = np.minimum(self.max_colors + 1, cap)  # (B,)
         mask = np.arange(cap)[None, :] < limit[:, None]
         mask &= ~self.blocked[:, v, :]
-        for u in mdp.later_neighbors[k]:
-            near_full = self.blocked[:, u, :].sum(axis=1) == cap - 1
-            if near_full.any():
-                rows = np.flatnonzero(near_full)
-                missing = np.argmin(self.blocked[rows, u, :], axis=1)
-                mask[rows, missing] = False
+        # drop the one color still free for a later neighbor
+        blocked = self.blocked[:, mdp.later_neighbors[k], :]
+        rows, nbrs = np.nonzero(blocked.sum(axis=2) == cap - 1)
+        mask[rows, np.argmin(blocked[rows, nbrs], axis=1)] = False
         return mask
 
-    def logits(self) -> np.ndarray:
-        return self.net.forward_from_pre(self.l1_pre)[0]
+    def logits(self, k: int) -> np.ndarray:
+        """Log-flows (B, cap) of every row's state s_k, recorded if asked."""
+        out, hidden = self.net.forward_from_pre(self.l1_pre)
+        if self.log_flows is not None:
+            self.log_flows[:, k] = out
+            for kept, h in zip(self.hidden, hidden):
+                kept[:, k] = h
+        return out
 
     def apply(self, k: int, actions: np.ndarray, mask: np.ndarray) -> None:
         mdp = self.mdp
@@ -331,22 +350,31 @@ class _BatchRollout:
         colors = actions + 1
         self.assignments[alive, v] = colors[alive]
         self.max_colors[alive] = np.maximum(self.max_colors[alive], colors[alive])
-        if mdp.later_neighbors[k].size:
-            rows = np.flatnonzero(alive)
-            for u in mdp.later_neighbors[k]:
-                self.blocked[rows, u, actions[rows]] = True
+        rows = np.flatnonzero(alive)
+        self.blocked[rows[:, None], mdp.later_neighbors[k], actions[rows, None]] = True
         if k + 1 < mdp.n_vertices:
-            rows = np.flatnonzero(alive)
             self.l1_pre[rows] += _l1_step(self.net, mdp, k, colors[rows])
+
+    def take_rows(self, dst: np.ndarray, other: "_BatchRollout", src: np.ndarray) -> None:
+        """Overwrite rows dst with rows src of another rollout of the same net."""
+        mine = [self.assignments, self.actions, self.masks, self.max_colors, *self.hidden]
+        theirs = [other.assignments, other.actions, other.masks, other.max_colors, *other.hidden]
+        if self.log_flows is not None:
+            mine.append(self.log_flows)
+            theirs.append(other.log_flows)
+        for to, frm in zip(mine, theirs):
+            to[dst] = frm[src]
+        self.dead[dst] = False
 
 
 def _sample_batch(
-    net: DenseNet, mdp: ColoringMDP, batch: int, rng: np.random.Generator
+    net: DenseNet, mdp: ColoringMDP, batch: int, rng: np.random.Generator, record: bool = False
 ) -> tuple[_BatchRollout, int]:
     """Roll a full lockstep batch; re-rolls dead trajectories. Returns the
-    rollout and the number of dead-end restarts."""
+    rollout and the number of dead-end restarts. With record=True the
+    rollout keeps every state's log-flows and hidden activations."""
     restarts = 0
-    rollout = _roll_once(net, mdp, batch, rng)
+    rollout = _roll_once(net, mdp, batch, rng, record)
     while rollout.dead.any():
         n_dead = int(rollout.dead.sum())
         restarts += n_dead
@@ -355,25 +383,19 @@ def _sample_batch(
                 f"too many dead-end restarts ({restarts}); color cap {mdp.color_cap} "
                 "is too tight for this graph, raise mask_extra_colors"
             )
-        fresh = _roll_once(net, mdp, n_dead, rng)
-        slots = np.flatnonzero(rollout.dead)
+        fresh = _roll_once(net, mdp, n_dead, rng, record)
         keep = np.flatnonzero(~fresh.dead)
-        for dst, src in zip(slots, keep):
-            rollout.assignments[dst] = fresh.assignments[src]
-            rollout.actions[dst] = fresh.actions[src]
-            rollout.masks[dst] = fresh.masks[src]
-            rollout.max_colors[dst] = fresh.max_colors[src]
-            rollout.dead[dst] = False
+        rollout.take_rows(np.flatnonzero(rollout.dead)[: keep.size], fresh, keep)
     return rollout, restarts
 
 
 def _roll_once(
-    net: DenseNet, mdp: ColoringMDP, batch: int, rng: np.random.Generator
+    net: DenseNet, mdp: ColoringMDP, batch: int, rng: np.random.Generator, record: bool
 ) -> _BatchRollout:
-    rollout = _BatchRollout(net, mdp, batch)
+    rollout = _BatchRollout(net, mdp, batch, record)
     for k in range(mdp.n_vertices):
         mask = rollout.step_masks(k)
-        logits = rollout.logits()
+        logits = rollout.logits(k)
         probs = np.where(mask, np.exp(logits - logits.max(axis=1, keepdims=True)), 0.0)
         totals = probs.sum(axis=1)
         stuck = totals <= 0
@@ -597,9 +619,10 @@ def train(h: QubitHamiltonian, config: TrainConfig | None = None) -> TrainedSamp
     """Flow-matching training loop; returns the sampler with per-iteration log.
 
     The color cap is the random-sequential greedy color count (same seed)
-    plus config.mask_extra_colors. Each iteration samples a batch, takes the
-    batch-mean flow-matching loss and its gradient, and feeds that gradient to
-    Adam, which updates parameters every accumulation_period iterations.
+    plus config.mask_extra_colors. Each iteration samples a batch, recording
+    the network's activations, takes the batch-mean flow-matching loss and
+    its gradient from them, and feeds that gradient to Adam, which updates
+    parameters every accumulation_period iterations.
     """
     if config is None:
         config = TrainConfig()
@@ -621,10 +644,12 @@ def train(h: QubitHamiltonian, config: TrainConfig | None = None) -> TrainedSamp
 
     for iteration in range(config.iterations):
         try:
-            rollout, restarts = _sample_batch(net, mdp, batch, rng)
+            rollout, restarts = _sample_batch(net, mdp, batch, rng, record=True)
             sampler.dead_end_restarts += restarts
             rewards = sampler._record(rollout, iteration)
-            mean_loss, grads = flow_matching_loss(net, mdp, rollout.actions, rollout.masks, rewards)
+            mean_loss, grads = flow_matching_loss(
+                net, mdp, rollout.actions, rollout.masks, rewards, rollout.log_flows, rollout.hidden
+            )
             adam_accumulate_and_step(adam, net.parameters(), grads)
             check_finite(net, f"iteration {iteration}")
         except NumericError as err:

@@ -3,8 +3,9 @@
 Float64 throughout. Hidden layers use tanh; the output layer is linear and is
 interpreted downstream as log-flows, so flows stay positive by construction.
 forward/backward accept a single input vector or a batch (rows), and are pure
-given the parameters; the optimizer mutates parameters in place and must be
-serialized externally (one writer at a time).
+given the parameters; the optimizer mutates parameters, moments and its
+gradient accumulator in place and must be serialized externally (one writer
+at a time).
 """
 from __future__ import annotations
 
@@ -161,7 +162,8 @@ def adam_accumulate_and_step(
     state: AdamState, params: list[np.ndarray], grads: list[np.ndarray]
 ) -> bool:
     """Accumulate one gradient; on every accumulation_period-th call, apply one
-    bias-corrected Adam update with the averaged gradient and reset. Returns
+    bias-corrected Adam update with the averaged gradient and reset. The
+    update runs in place, with one scratch array per parameter. Returns
     True when parameters changed."""
     if len(grads) != len(params):
         raise DimensionError(f"{len(grads)} gradient arrays for {len(params)} parameters")
@@ -177,12 +179,21 @@ def adam_accumulate_and_step(
     bc1 = 1.0 - state.beta1**state.t
     bc2 = 1.0 - state.beta2**state.t
     for p, m, v, acc in zip(params, state.m, state.v, state.accum):
-        g = acc / state.accumulation_period
+        # in place: acc becomes the averaged gradient, then the step, then
+        # zero again; scratch holds the other temporaries in turn
+        scratch = np.empty_like(p)
+        g = np.divide(acc, state.accumulation_period, out=acc)
         m *= state.beta1
-        m += (1.0 - state.beta1) * g
+        m += np.multiply(g, 1.0 - state.beta1, out=scratch)
         v *= state.beta2
-        v += (1.0 - state.beta2) * g**2
-        p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        np.square(g, out=scratch)
+        v += np.multiply(scratch, 1.0 - state.beta2, out=scratch)
+        denom = np.sqrt(np.divide(v, bc2, out=scratch), out=scratch)
+        denom += state.eps
+        step = np.divide(m, bc1, out=acc)
+        step *= state.lr
+        step /= denom
+        p -= step
         acc[...] = 0.0
     state.accum_count = 0
     return True
@@ -215,29 +226,33 @@ def save_checkpoint(path, net: DenseNet, adam: AdamState, metadata: dict | None 
 
 
 def load_checkpoint(path) -> tuple[DenseNet, AdamState, dict]:
-    with np.load(path, allow_pickle=False) as data:
-        version = int(data["version"])
-        if version != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
-        layer_sizes = [int(s) for s in data["layer_sizes"]]
-        n_layers = len(layer_sizes) - 1
-        net = DenseNet(
-            [data[f"w{k}"] for k in range(n_layers)],
-            [data[f"b{k}"] for k in range(n_layers)],
-        )
-        lr, b1, b2, eps, period, t, count = data["adam_scalars"]
-        n_params = 2 * n_layers
-        adam = AdamState(
-            lr=float(lr),
-            beta1=float(b1),
-            beta2=float(b2),
-            eps=float(eps),
-            accumulation_period=int(period),
-            t=int(t),
-            m=[data[f"adam_m{i}"] for i in range(n_params)],
-            v=[data[f"adam_v{i}"] for i in range(n_params)],
-            accum=[data[f"adam_a{i}"] for i in range(n_params)],
-            accum_count=int(count),
-        )
-        metadata = json.loads(str(data["metadata"]))
+    """Inverse of save_checkpoint; ValueError if an array it writes is missing."""
+    try:
+        with np.load(path, allow_pickle=False) as data:
+            version = int(data["version"])
+            if version != CHECKPOINT_VERSION:
+                raise ValueError(f"unsupported checkpoint version {version}")
+            layer_sizes = [int(s) for s in data["layer_sizes"]]
+            n_layers = len(layer_sizes) - 1
+            net = DenseNet(
+                [data[f"w{k}"] for k in range(n_layers)],
+                [data[f"b{k}"] for k in range(n_layers)],
+            )
+            lr, b1, b2, eps, period, t, count = data["adam_scalars"]
+            n_params = 2 * n_layers
+            adam = AdamState(
+                lr=float(lr),
+                beta1=float(b1),
+                beta2=float(b2),
+                eps=float(eps),
+                accumulation_period=int(period),
+                t=int(t),
+                m=[data[f"adam_m{i}"] for i in range(n_params)],
+                v=[data[f"adam_v{i}"] for i in range(n_params)],
+                accum=[data[f"adam_a{i}"] for i in range(n_params)],
+                accum_count=int(count),
+            )
+            metadata = json.loads(str(data["metadata"]))
+    except KeyError as err:  # np.load's archive names the array it lacks
+        raise ValueError(f"not a pauliflow checkpoint: {err.args[0]}") from err
     return net, adam, metadata

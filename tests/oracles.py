@@ -5,6 +5,11 @@ handled as letter strings and checks go through explicit dense matrices.
 The flow-matching oracle likewise avoids the sampler's sparse input layer:
 it walks each trajectory through the scalar MDP and feeds dense state
 encodings to DenseNet.forward/backward, one trajectory at a time.
+
+rollout_activations and adam_accumulate_and_step_reference keep the
+straightforward forms of code the package now does faster: rebuilding a
+batch's activations from its actions (the loss reuses the rollout's), and
+the Adam update written with temporaries (the package's runs in place).
 """
 import itertools
 
@@ -93,3 +98,41 @@ def flow_matching_loss_dense(net, mdp, actions, rewards):
         for acc, g in zip(grads, net.backward(enc, gout)):
             acc += g
     return total / batch, [g / batch for g in grads]
+
+
+def rollout_activations(net, mdp, actions):
+    """Log-flows (B, n, cap) and hidden activations (one (B, n, h_k) array per
+    hidden layer) at states s_0 .. s_{n-1} of each trajectory in `actions`,
+    rebuilt from the sparse layer-1 steps, for flow_matching_loss."""
+    from pauliflow.gflownet import _l1_start, _l1_step
+
+    batch, n = actions.shape
+    # a sequential cumsum of the step rows adds them in the rollout's order
+    pre = np.empty((batch, n, net.layer_sizes[1]))
+    pre[:, 0] = _l1_start(net, mdp)
+    pre[:, 1:] = _l1_step(net, mdp, np.arange(n - 1), actions[:, :-1] + 1)
+    np.cumsum(pre, axis=1, out=pre)
+    out, hidden = net.forward_from_pre(pre.reshape(batch * n, -1))
+    return out.reshape(batch, n, -1), [h.reshape(batch, n, -1) for h in hidden]
+
+
+def adam_accumulate_and_step_reference(state, params, grads):
+    """The Adam update with accumulation, written with array temporaries."""
+    for acc, g in zip(state.accum, grads):
+        acc += g
+    state.accum_count += 1
+    if state.accum_count < state.accumulation_period:
+        return False
+    state.t += 1
+    bc1 = 1.0 - state.beta1**state.t
+    bc2 = 1.0 - state.beta2**state.t
+    for p, m, v, acc in zip(params, state.m, state.v, state.accum):
+        g = acc / state.accumulation_period
+        m *= state.beta1
+        m += (1.0 - state.beta1) * g
+        v *= state.beta2
+        v += (1.0 - state.beta2) * g**2
+        p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        acc[...] = 0.0
+    state.accum_count = 0
+    return True

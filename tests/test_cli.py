@@ -118,12 +118,17 @@ BAD_INPUTS = {
     "compare-exact-on-h4": (["compare", "--input", H4, "--mode", "fc", "--methods", "full,exact"], "exact-search limit"),
     "histogram-ham-as-checkpoint": (["histogram", "--checkpoint", H2, "--samples", "5"], "not a checkpoint"),
     "histogram-samples-before-load": (["histogram", "--checkpoint", H2, "--samples", "0"], "--samples"),
+    "histogram-foreign-npz": (["histogram", "--checkpoint", "FOREIGN_NPZ", "--samples", "5"], "not a pauliflow checkpoint"),
 }
 
 
 @pytest.mark.parametrize("case", BAD_INPUTS)
 def test_bad_input_exits_2_with_error_line(capsys, tmp_path, case):
     argv, message = BAD_INPUTS[case]
+    if "FOREIGN_NPZ" in argv:  # an .npz archive that pauliflow did not write
+        foreign = tmp_path / "x.npz"
+        np.savez(foreign, a=np.zeros(3))
+        argv = [str(foreign) if arg == "FOREIGN_NPZ" else arg for arg in argv]
     if argv[0] == "histogram":
         argv = argv + ["--out", str(tmp_path / "h.csv")]
     code, out, err = run(capsys, *argv)

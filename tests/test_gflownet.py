@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import flow_matching_loss_dense
+from oracles import flow_matching_loss_dense, rollout_activations
 from pauliflow.gflownet import (
     ColoringMDP,
     NoActionError,
@@ -10,6 +10,7 @@ from pauliflow.gflownet import (
     _BatchRollout,
     _l1_start,
     _l1_step,
+    _sample_batch,
     _terminal_metrics,
     encode_state,
     enumerate_terminal_assignments,
@@ -46,6 +47,14 @@ def random_graph(n, p, seed):
     rng = np.random.Generator(np.random.PCG64(seed))
     adj = np.triu(rng.random((n, n)) < p, k=1)
     return CompatGraph(mode="fc", adjacency=adj | adj.T)
+
+
+def loss_of(net, mdp, actions, masks, rewards):
+    """flow_matching_loss on activations rebuilt from the actions at the
+    net's current parameters."""
+    return flow_matching_loss(
+        net, mdp, actions, masks, rewards, *rollout_activations(net, mdp, actions)
+    )
 
 
 def sample_batch(net, mdp, rng, batch, hamiltonian=None, measurement=MeasurementConfig()):
@@ -291,7 +300,7 @@ class TestSparseInputFastPath:
     def test_l1_grads_match_dense(self, seed):
         mdp, net, traj, enc = self.trajectory_and_encodings(seed)
         rewards = np.array([0.5 + seed])
-        _, grads = flow_matching_loss(net, mdp, traj.actions[None], traj.masks[None], rewards)
+        _, grads = loss_of(net, mdp, traj.actions[None], traj.masks[None], rewards)
         _, dense = flow_matching_loss_dense(net, mdp, traj.actions[None], rewards)
         assert np.allclose(grads[0], dense[0], atol=1e-12)
         assert np.allclose(grads[1], dense[1], atol=1e-12)
@@ -301,8 +310,42 @@ class TestSparseInputFastPath:
         mdp, net, traj, enc = self.trajectory_and_encodings(seed)
         rollout = _BatchRollout(net, mdp, 1)
         for k in range(traj.n_steps):
-            assert np.allclose(rollout.logits()[0], net.forward(enc[k]), atol=1e-10)
+            assert np.allclose(rollout.logits(k)[0], net.forward(enc[k]), atol=1e-10)
             rollout.apply(k, traj.actions[k : k + 1], traj.masks[k][None])
+
+    @pytest.mark.parametrize("n_vertices, p, seed", [(9, 0.5, 3), (10, 0.5, 1), (12, 0.4, 2)])
+    def test_recorded_activations_match_dense_forward(self, n_vertices, p, seed):
+        """A training rollout's recorded log-flows and activations are the
+        dense network's on every visited state, re-rolled rows included."""
+        g = random_graph(n_vertices, p, seed)
+        mdp = ColoringMDP(g, greedy_color(g, "random_sequential", seed=seed).max_color)
+        net = DenseNet.initialize([mdp.encoding_dim, 10, 7, mdp.n_actions], seed=seed)
+        rng = np.random.Generator(np.random.PCG64(seed))
+        rollout, restarts = _sample_batch(net, mdp, 6, rng, record=True)
+        assert restarts > 0  # the cap is tight enough to exercise take_rows
+        for b in range(6):
+            states = [mdp.initial_state()]
+            for action in rollout.actions[b, :-1]:
+                states.append(states[-1].child(int(action)))
+            enc = np.stack([encode_state(s) for s in states])
+            assert np.allclose(rollout.log_flows[b], net.forward(enc), rtol=0, atol=1e-10)
+            _, dense_hidden = net.forward_from_pre(enc @ net.weights[0] + net.biases[0])
+            for kept, dense in zip(rollout.hidden, dense_hidden, strict=True):
+                assert np.allclose(kept[b], dense, rtol=0, atol=1e-10)
+        rewards = rng.uniform(0.1, 5.0, size=6)
+        loss, grads = flow_matching_loss(
+            net, mdp, rollout.actions, rollout.masks, rewards, rollout.log_flows, rollout.hidden
+        )
+        dense_loss, dense_grads = flow_matching_loss_dense(net, mdp, rollout.actions, rewards)
+        assert loss == pytest.approx(dense_loss, rel=1e-10)
+        assert max_relative_error(grads, dense_grads) < 1e-10
+
+    def test_sampling_does_not_record(self):
+        g = random_graph(6, 0.5, 0)
+        mdp = ColoringMDP(g, greedy_color(g, "random_sequential", seed=0).max_color + 1)
+        net = DenseNet.initialize([mdp.encoding_dim, 8, mdp.n_actions], seed=0)
+        rollout, _ = _sample_batch(net, mdp, 4, np.random.Generator(np.random.PCG64(0)))
+        assert rollout.log_flows is None and rollout.hidden == []
 
 
 class TestFlowMatchingLoss:
@@ -328,7 +371,7 @@ class TestFlowMatchingLoss:
 
         rng = np.random.Generator(np.random.PCG64(0))
         batch = sample_batch(net, mdp, rng, 4, hamiltonian=h, measurement=cfg)
-        loss, grads = flow_matching_loss(net, mdp, *batch)
+        loss, grads = loss_of(net, mdp, *batch)
         assert loss == pytest.approx(0.0, abs=1e-15)
 
     def test_loss_nonnegative_and_grads_shaped(self):
@@ -341,7 +384,7 @@ class TestFlowMatchingLoss:
         )
         net = DenseNet.initialize([mdp.encoding_dim, 12, cap], seed=3)
         rng = np.random.Generator(np.random.PCG64(3))
-        loss, grads = flow_matching_loss(net, mdp, *sample_batch(net, mdp, rng, 3, hamiltonian=h))
+        loss, grads = loss_of(net, mdp, *sample_batch(net, mdp, rng, 3, hamiltonian=h))
         assert loss >= 0.0
         for g_arr, p in zip(grads, net.parameters()):
             assert g_arr.shape == p.shape
@@ -357,16 +400,16 @@ class TestFlowMatchingLoss:
         net = DenseNet.initialize([mdp.encoding_dim, 6, cap], seed=7)
         rng = np.random.Generator(np.random.PCG64(7))
         batch = sample_batch(net, mdp, rng, 3, hamiltonian=h)
-        _, grads = flow_matching_loss(net, mdp, *batch)
+        _, grads = loss_of(net, mdp, *batch)
         step = 1e-6
         for p, g_arr in zip(net.parameters(), grads):
             flat, gflat = p.reshape(-1), g_arr.reshape(-1)
             for i in range(0, flat.size, max(1, flat.size // 5)):
                 original = flat[i]
                 flat[i] = original + step
-                plus, _ = flow_matching_loss(net, mdp, *batch)
+                plus, _ = loss_of(net, mdp, *batch)
                 flat[i] = original - step
-                minus, _ = flow_matching_loss(net, mdp, *batch)
+                minus, _ = loss_of(net, mdp, *batch)
                 flat[i] = original
                 numeric = (plus - minus) / (2 * step)
                 assert numeric == pytest.approx(gflat[i], rel=2e-4, abs=1e-7)
@@ -384,7 +427,7 @@ class TestFlowMatchingLoss:
         rng = np.random.Generator(np.random.PCG64(seed))
         actions, masks, _ = sample_batch(net, mdp, rng, batch)
         rewards = rng.uniform(0.1, 5.0, size=batch)
-        loss, grads = flow_matching_loss(net, mdp, actions, masks, rewards)
+        loss, grads = loss_of(net, mdp, actions, masks, rewards)
         dense_loss, dense_grads = flow_matching_loss_dense(net, mdp, actions, rewards)
         assert loss == pytest.approx(dense_loss, rel=1e-10)
         assert max_relative_error(grads, dense_grads) < 1e-10
@@ -396,7 +439,7 @@ class TestFlowMatchingLoss:
         net = DenseNet.initialize([mdp.encoding_dim, 16, 16, mdp.n_actions], seed=0)
         rng = np.random.Generator(np.random.PCG64(0))
         actions, masks, rewards = sample_batch(net, mdp, rng, 4, hamiltonian=h)
-        loss, grads = flow_matching_loss(net, mdp, actions, masks, rewards)
+        loss, grads = loss_of(net, mdp, actions, masks, rewards)
         dense_loss, dense_grads = flow_matching_loss_dense(net, mdp, actions, rewards)
         assert loss == pytest.approx(dense_loss, rel=1e-10)
         assert max_relative_error(grads, dense_grads) < 1e-10

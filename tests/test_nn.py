@@ -11,6 +11,7 @@ from pauliflow.nn import (
     load_checkpoint,
     save_checkpoint,
 )
+from oracles import adam_accumulate_and_step_reference
 from pauliflow.pauli import DimensionError
 from pauliflow.nn import NumericError
 
@@ -189,6 +190,24 @@ class TestAdam:
             return net.weights[0][0, 0]
 
         assert run([5.0] + [0.0] * 9) == pytest.approx(run([0.5] * 10), abs=1e-15)
+
+    @pytest.mark.parametrize("period", [1, 10])
+    def test_in_place_step_matches_reference_bit_for_bit(self, period):
+        net = DenseNet.initialize([7, 9, 5, 3], seed=period)
+        ref_net = net.copy()
+        state = AdamState.for_net(net, lr=1e-2, accumulation_period=period)
+        ref = AdamState.for_net(ref_net, lr=1e-2, accumulation_period=period)
+        rng = np.random.Generator(np.random.PCG64(period))
+        for _ in range(3 * period + 4):
+            grads = [rng.normal(scale=10.0, size=p.shape) for p in net.parameters()]
+            stepped = adam_accumulate_and_step(state, net.parameters(), grads)
+            assert stepped == adam_accumulate_and_step_reference(ref, ref_net.parameters(), grads)
+            mine = net.parameters() + state.m + state.v + state.accum
+            theirs = ref_net.parameters() + ref.m + ref.v + ref.accum
+            for a, b in zip(mine, theirs, strict=True):
+                assert np.array_equal(a, b)
+            assert (state.t, state.accum_count) == (ref.t, ref.accum_count)
+        assert state.t >= 3  # several real steps compared
 
     def test_shape_mismatch(self):
         net = DenseNet.initialize([2, 2], seed=0)
