@@ -549,22 +549,26 @@ class TrainedSampler:
     @classmethod
     def load(cls, path) -> "TrainedSampler":
         net, adam, metadata = load_checkpoint(path)
-        h = loads_hamiltonian(metadata["hamiltonian"])
-        graph = build_complement_graph(h, metadata["mode"])
-        mdp = ColoringMDP(graph, int(metadata["color_cap"]))
-        config = TrainConfig(
-            iterations=int(metadata["iterations"]),
-            trajectories_per_iteration=int(metadata["trajectories_per_iteration"]),
-            seed=int(metadata["seed"]),
-            mask_extra_colors=int(metadata["mask_extra_colors"]),
-            measurement=MeasurementConfig(
-                epsilon=float(metadata["epsilon"]), lambda0=float(metadata["lambda0"])
-            ),
-            mode=metadata["mode"],
-            learning_rate=float(metadata["learning_rate"]),
-            hidden_sizes=tuple(metadata["hidden_sizes"]),
-            accumulation_period=int(metadata["accumulation_period"]),
-        )
+        try:
+            h = loads_hamiltonian(metadata["hamiltonian"])
+            color_cap = int(metadata["color_cap"])
+            config = TrainConfig(
+                iterations=int(metadata["iterations"]),
+                trajectories_per_iteration=int(metadata["trajectories_per_iteration"]),
+                seed=int(metadata["seed"]),
+                mask_extra_colors=int(metadata["mask_extra_colors"]),
+                measurement=MeasurementConfig(
+                    epsilon=float(metadata["epsilon"]), lambda0=float(metadata["lambda0"])
+                ),
+                mode=metadata["mode"],
+                learning_rate=float(metadata["learning_rate"]),
+                hidden_sizes=tuple(metadata["hidden_sizes"]),
+                accumulation_period=int(metadata["accumulation_period"]),
+            )
+        except KeyError as err:  # written by save_checkpoint without the sampler's metadata
+            missing = err.args[0]
+            raise ValueError(f"not a pauliflow checkpoint: no {missing!r} in its metadata") from err
+        mdp = ColoringMDP(build_complement_graph(h, config.mode), color_cap)
         sampler = cls(h, mdp, net, config, adam)
         best = metadata.get("best_assignment")
         if best is not None:
@@ -650,8 +654,8 @@ def train(h: QubitHamiltonian, config: TrainConfig | None = None) -> TrainedSamp
             mean_loss, grads = flow_matching_loss(
                 net, mdp, rollout.actions, rollout.masks, rewards, rollout.log_flows, rollout.hidden
             )
-            adam_accumulate_and_step(adam, net.parameters(), grads)
-            check_finite(net, f"iteration {iteration}")
+            if adam_accumulate_and_step(adam, net.parameters(), grads):
+                check_finite(net, f"iteration {iteration}")
         except NumericError as err:
             raise NumericError(f"iteration {iteration}: {err}") from err
         best = sampler.best

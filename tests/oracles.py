@@ -6,10 +6,12 @@ The flow-matching oracle likewise avoids the sampler's sparse input layer:
 it walks each trajectory through the scalar MDP and feeds dense state
 encodings to DenseNet.forward/backward, one trajectory at a time.
 
-rollout_activations and adam_accumulate_and_step_reference keep the
-straightforward forms of code the package now does faster: rebuilding a
-batch's activations from its actions (the loss reuses the rollout's), and
-the Adam update written with temporaries (the package's runs in place).
+rollout_activations, adam_accumulate_and_step_reference and
+greedy_color_reference keep the straightforward forms of code the package now
+does faster: rebuilding a batch's activations from its actions (the loss
+reuses the rollout's), the Adam update written with temporaries (the
+package's runs in place), and greedy coloring with a Python set per vertex
+(the package's runs on a blocked-color matrix).
 """
 import itertools
 
@@ -136,3 +138,42 @@ def adam_accumulate_and_step_reference(state, params, grads):
         acc[...] = 0.0
     state.accum_count = 0
     return True
+
+
+def greedy_color_reference(g, strategy: str, seed: int = 0) -> np.ndarray:
+    """Greedy coloring assignment, vertex by vertex with Python sets: first-fit
+    in largest-first or seeded random order, or DSATUR with ties broken by
+    degree, then lowest index."""
+    n = g.n_vertices
+    degrees = g.adjacency.sum(axis=1)
+    assignment = np.zeros(n, dtype=np.int64)
+
+    def smallest_free(used):
+        c = 1
+        while c in used:
+            c += 1
+        return c
+
+    if strategy == "dsatur":
+        neighbor_colors = [set() for _ in range(n)]
+        for _ in range(n):
+            best, best_key = -1, None
+            for v in range(n):
+                if assignment[v] != 0:
+                    continue
+                key = (len(neighbor_colors[v]), int(degrees[v]), -v)
+                if best_key is None or key > best_key:
+                    best, best_key = v, key
+            c = smallest_free(neighbor_colors[best])
+            assignment[best] = c
+            for u in np.flatnonzero(g.adjacency[best]):
+                if assignment[u] == 0:
+                    neighbor_colors[u].add(c)
+        return assignment
+    if strategy == "largest_first":
+        order = sorted(range(n), key=lambda v: (-int(degrees[v]), v))
+    else:
+        order = list(np.random.Generator(np.random.PCG64(seed)).permutation(n))
+    for v in order:
+        assignment[v] = smallest_free({int(c) for c in assignment[g.adjacency[v]] if c != 0})
+    return assignment

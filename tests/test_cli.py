@@ -6,6 +6,7 @@ import pytest
 from pauliflow.cli import main
 from pauliflow.graphs import Coloring, build_complement_graph, validate_coloring
 from pauliflow.hamio import bundled_path, load_hamiltonian
+from pauliflow.nn import AdamState, DenseNet, save_checkpoint
 
 H2 = bundled_path("h2_sto3g_1A_jw.ham")
 SYNTH = bundled_path("synthetic_10term.ham")
@@ -119,6 +120,7 @@ BAD_INPUTS = {
     "histogram-ham-as-checkpoint": (["histogram", "--checkpoint", H2, "--samples", "5"], "not a checkpoint"),
     "histogram-samples-before-load": (["histogram", "--checkpoint", H2, "--samples", "0"], "--samples"),
     "histogram-foreign-npz": (["histogram", "--checkpoint", "FOREIGN_NPZ", "--samples", "5"], "not a pauliflow checkpoint"),
+    "histogram-no-metadata": (["histogram", "--checkpoint", "BARE_CHECKPOINT", "--samples", "5"], "not a pauliflow checkpoint"),
 }
 
 
@@ -129,6 +131,11 @@ def test_bad_input_exits_2_with_error_line(capsys, tmp_path, case):
         foreign = tmp_path / "x.npz"
         np.savez(foreign, a=np.zeros(3))
         argv = [str(foreign) if arg == "FOREIGN_NPZ" else arg for arg in argv]
+    if "BARE_CHECKPOINT" in argv:  # a network checkpoint without the sampler's metadata
+        bare = tmp_path / "c.npz"
+        net = DenseNet.initialize([3, 4, 2], seed=0)
+        save_checkpoint(bare, net, AdamState.for_net(net))
+        argv = [str(bare) if arg == "BARE_CHECKPOINT" else arg for arg in argv]
     if argv[0] == "histogram":
         argv = argv + ["--out", str(tmp_path / "h.csv")]
     code, out, err = run(capsys, *argv)

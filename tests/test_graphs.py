@@ -20,8 +20,10 @@ from pauliflow.graphs import (
     greedy_color,
     validate_coloring,
 )
-from pauliflow.hamio import loads_hamiltonian
+from pauliflow.hamio import bundled_path, load_hamiltonian, loads_hamiltonian
 from pauliflow.pauli import PauliWord, QubitHamiltonian, commutes_fc, commutes_qwc
+
+from oracles import greedy_color_reference
 
 
 def graph_from_edges(n, edges):
@@ -35,6 +37,10 @@ def random_graph(n, p, seed):
     rng = np.random.Generator(np.random.PCG64(seed))
     adj = np.triu(rng.random((n, n)) < p, k=1)
     return CompatGraph(mode="fc", adjacency=adj | adj.T)
+
+
+def fixture_graph(name, mode):
+    return build_complement_graph(load_hamiltonian(bundled_path(name)), mode)
 
 
 TRIANGLE = graph_from_edges(3, [(0, 1), (1, 2), (0, 2)])
@@ -92,6 +98,24 @@ class TestBuildComplementGraph:
                     if i != j:
                         assert g.adjacency[i, j] == (not pred(words[i], words[j]))
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(1, 12), st.integers(1, 40))
+    def test_matches_pairwise_predicates(self, seed, n_qubits, n_terms):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        x = rng.random((n_terms, n_qubits)) < 0.4
+        z = rng.random((n_terms, n_qubits)) < 0.4
+        z[:, 0] |= ~(x | z).any(axis=1)  # no identity words
+        h = QubitHamiltonian(
+            n_qubits, [(1.0, PauliWord(n_qubits, xb, zb)) for xb, zb in zip(x, z)]
+        )
+        words = h.words()
+        for mode, pred in (("fc", commutes_fc), ("qwc", commutes_qwc)):
+            expected = np.array(
+                [[i != j and not pred(a, b) for j, b in enumerate(words)]
+                 for i, a in enumerate(words)]
+            )
+            assert np.array_equal(build_complement_graph(h, mode).adjacency, expected)
+
 
 class TestGreedyColor:
     @pytest.mark.parametrize("strategy", STRATEGIES)
@@ -126,6 +150,33 @@ class TestGreedyColor:
         g = random_graph(n, p, seed)
         for strategy in STRATEGIES:
             assert validate_coloring(g, greedy_color(g, strategy, seed=seed))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(1, 40), st.floats(0.0, 1.0))
+    def test_matches_scalar_reference(self, seed, n, p):
+        g = random_graph(n, p, seed)
+        for strategy in STRATEGIES:
+            assert np.array_equal(
+                greedy_color(g, strategy, seed=seed).assignment,
+                greedy_color_reference(g, strategy, seed=seed),
+            )
+
+    @pytest.mark.parametrize("mode", ["fc", "qwc"])
+    @pytest.mark.parametrize("name", ["h2_sto3g_1A_jw.ham", "h4_chain_sto3g_1A_jw.ham"])
+    def test_matches_scalar_reference_on_bundled(self, name, mode):
+        g = fixture_graph(name, mode)
+        for strategy in STRATEGIES:
+            for seed in (0, 1):
+                assert np.array_equal(
+                    greedy_color(g, strategy, seed=seed).assignment,
+                    greedy_color_reference(g, strategy, seed=seed),
+                )
+
+    @pytest.mark.parametrize("mode, counts", [("fc", (9, 8, 12)), ("qwc", (68, 67, 69))])
+    def test_h4_color_counts(self, mode, counts):
+        g = fixture_graph("h4_chain_sto3g_1A_jw.ham", mode)
+        strategies = ("largest_first", "dsatur", "random_sequential")
+        assert tuple(greedy_color(g, s, seed=0).max_color for s in strategies) == counts
 
 
 class TestValidateColoring:
