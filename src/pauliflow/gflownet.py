@@ -23,6 +23,12 @@ after 1616 restarts; widening the cap (mask_extra_colors, `--mask-extra`)
 is the workaround. Each training iteration runs the network forward once:
 the training rollout records every state's log-flows and hidden activations,
 and the flow-matching loss reuses them and runs only the backward pass.
+
+Besides that forward pass, one lockstep step of B rows costs one (B, h1)
+gather-add for the layer-1 update (from a per-step table of color deltas
+when B exceeds the cap) and a few (n_later, B) gathers for the masks. A per-vertex count of blocked
+colors finds the later neighbors that the feasibility check must look at,
+those with one color left, without reading every neighbor's blocked colors.
 """
 from __future__ import annotations
 
@@ -294,9 +300,22 @@ class _BatchRollout:
     """Lockstep sampler: every trajectory colors vertex order[k] at step k.
 
     Layer-1 preactivations are maintained incrementally per row, since one
-    step changes a single vertex slot and the cursor in the encoding. With
-    record=True, each step's log-flows and hidden activations are kept for
-    the loss (B * n_vertices rows per layer, so sampling does not record).
+    step changes a single vertex slot and the cursor in the encoding. When
+    the batch has more rows than there are colors (sampling), a step builds
+    a (cap, h1) table of the per-color changes and adds the taken color's
+    row to every row; smaller batches (training) compute each row's change
+    directly. Both give the same bits.
+
+    blocked (n, B, cap) marks the colors each vertex's colored neighbors
+    hold, vertex-major so that one neighbor's rows are contiguous, and
+    blocked_counts (n, B) counts them. The counts exist only for the
+    one-step feasibility check: it reads a full blocked row only where a
+    later neighbor has one color left. Besides the network's forward pass, a
+    step costs a few (n_later, B) gathers and one (B, h1) add. Rows that die
+    keep being updated; _sample_batch discards them.
+
+    With record=True, each step's log-flows and hidden activations are kept
+    for the loss (B * n_vertices rows per layer, so sampling does not record).
     """
 
     def __init__(self, net: DenseNet, mdp: ColoringMDP, batch: int, record: bool = False):
@@ -304,7 +323,8 @@ class _BatchRollout:
         self.net = net
         self.mdp = mdp
         self.assignments = np.zeros((batch, n), dtype=np.int64)
-        self.blocked = np.zeros((batch, n, cap), dtype=bool)
+        self.blocked = np.zeros((n, batch, cap), dtype=bool)
+        self.blocked_counts = np.zeros((n, batch), dtype=np.min_scalar_type(cap))
         self.max_colors = np.zeros(batch, dtype=np.int64)
         self.actions = np.zeros((batch, n), dtype=np.int64)
         self.masks = np.zeros((batch, n, cap), dtype=bool)
@@ -322,11 +342,11 @@ class _BatchRollout:
         v = int(mdp.vertex_order[k])
         limit = np.minimum(self.max_colors + 1, cap)  # (B,)
         mask = np.arange(cap)[None, :] < limit[:, None]
-        mask &= ~self.blocked[:, v, :]
+        mask &= ~self.blocked[v]
         # drop the one color still free for a later neighbor
-        blocked = self.blocked[:, mdp.later_neighbors[k], :]
-        rows, nbrs = np.nonzero(blocked.sum(axis=2) == cap - 1)
-        mask[rows, np.argmin(blocked[rows, nbrs], axis=1)] = False
+        later = mdp.later_neighbors[k]
+        nbrs, rows = np.nonzero(self.blocked_counts[later] == cap - 1)
+        mask[rows, np.argmin(self.blocked[later[nbrs], rows], axis=1)] = False
         return mask
 
     def logits(self, k: int) -> np.ndarray:
@@ -340,20 +360,24 @@ class _BatchRollout:
 
     def apply(self, k: int, actions: np.ndarray, mask: np.ndarray) -> None:
         mdp = self.mdp
+        cap = mdp.color_cap
         v = int(mdp.vertex_order[k])
-        alive = ~self.dead
-        picked = mask[np.arange(actions.shape[0]), actions]
-        self.dead |= alive & ~picked
-        alive = ~self.dead
+        rows = np.arange(actions.shape[0])
+        self.dead |= ~mask[rows, actions]
         self.actions[:, k] = actions
         self.masks[:, k, :] = mask
         colors = actions + 1
-        self.assignments[alive, v] = colors[alive]
-        self.max_colors[alive] = np.maximum(self.max_colors[alive], colors[alive])
-        rows = np.flatnonzero(alive)
-        self.blocked[rows[:, None], mdp.later_neighbors[k], actions[rows, None]] = True
+        self.assignments[:, v] = colors
+        np.maximum(self.max_colors, colors, out=self.max_colors)
+        later = mdp.later_neighbors[k]
+        self.blocked_counts[later] += ~self.blocked[later[:, None], rows, actions]
+        self.blocked[later[:, None], rows, actions] = True
         if k + 1 < mdp.n_vertices:
-            self.l1_pre[rows] += _l1_step(self.net, mdp, k, colors[rows])
+            # the same deltas, per row, or per color and gathered when rows outnumber colors
+            if actions.shape[0] <= cap:
+                self.l1_pre += _l1_step(self.net, mdp, k, colors)
+            else:
+                self.l1_pre += _l1_step(self.net, mdp, k, np.arange(1, cap + 1))[actions]
 
     def take_rows(self, dst: np.ndarray, other: "_BatchRollout", src: np.ndarray) -> None:
         """Overwrite rows dst with rows src of another rollout of the same net."""
@@ -526,6 +550,8 @@ class TrainedSampler:
         return out
 
     def save(self, path) -> None:
+        """Checkpoint the network, Adam's state and the metadata load() needs.
+        A sampler returned by load() has no Adam state, so this raises."""
         if self.adam is None:
             raise ValueError("sampler has no optimizer state to checkpoint")
         best = self.best if self.discovered else None
@@ -548,7 +574,9 @@ class TrainedSampler:
 
     @classmethod
     def load(cls, path) -> "TrainedSampler":
-        net, adam, metadata = load_checkpoint(path)
+        """The sampler a checkpoint holds, for sampling only: the optimizer
+        state is not read, so the result cannot be saved again."""
+        net, _, metadata = load_checkpoint(path, optimizer=False)
         try:
             h = loads_hamiltonian(metadata["hamiltonian"])
             color_cap = int(metadata["color_cap"])
@@ -569,7 +597,7 @@ class TrainedSampler:
             missing = err.args[0]
             raise ValueError(f"not a pauliflow checkpoint: no {missing!r} in its metadata") from err
         mdp = ColoringMDP(build_complement_graph(h, config.mode), color_cap)
-        sampler = cls(h, mdp, net, config, adam)
+        sampler = cls(h, mdp, net, config)
         best = metadata.get("best_assignment")
         if best is not None:
             row = np.asarray(best, dtype=np.int64)

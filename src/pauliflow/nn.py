@@ -225,8 +225,10 @@ def save_checkpoint(path, net: DenseNet, adam: AdamState, metadata: dict | None 
     np.savez(path, **arrays)
 
 
-def load_checkpoint(path) -> tuple[DenseNet, AdamState, dict]:
-    """Inverse of save_checkpoint; ValueError if an array it writes is missing."""
+def load_checkpoint(path, optimizer: bool = True) -> tuple[DenseNet, AdamState | None, dict]:
+    """Inverse of save_checkpoint; ValueError if an array it reads is missing.
+    With optimizer=False the Adam arrays (three quarters of the file) are
+    not read and None is returned in their place."""
     try:
         with np.load(path, allow_pickle=False) as data:
             version = int(data["version"])
@@ -238,20 +240,22 @@ def load_checkpoint(path) -> tuple[DenseNet, AdamState, dict]:
                 [data[f"w{k}"] for k in range(n_layers)],
                 [data[f"b{k}"] for k in range(n_layers)],
             )
-            lr, b1, b2, eps, period, t, count = data["adam_scalars"]
-            n_params = 2 * n_layers
-            adam = AdamState(
-                lr=float(lr),
-                beta1=float(b1),
-                beta2=float(b2),
-                eps=float(eps),
-                accumulation_period=int(period),
-                t=int(t),
-                m=[data[f"adam_m{i}"] for i in range(n_params)],
-                v=[data[f"adam_v{i}"] for i in range(n_params)],
-                accum=[data[f"adam_a{i}"] for i in range(n_params)],
-                accum_count=int(count),
-            )
+            adam = None
+            if optimizer:
+                lr, b1, b2, eps, period, t, count = data["adam_scalars"]
+                n_params = 2 * n_layers
+                adam = AdamState(
+                    lr=float(lr),
+                    beta1=float(b1),
+                    beta2=float(b2),
+                    eps=float(eps),
+                    accumulation_period=int(period),
+                    t=int(t),
+                    m=[data[f"adam_m{i}"] for i in range(n_params)],
+                    v=[data[f"adam_v{i}"] for i in range(n_params)],
+                    accum=[data[f"adam_a{i}"] for i in range(n_params)],
+                    accum_count=int(count),
+                )
             metadata = json.loads(str(data["metadata"]))
     except KeyError as err:  # np.load's archive names the array it lacks
         raise ValueError(f"not a pauliflow checkpoint: {err.args[0]}") from err

@@ -6,16 +6,21 @@ The flow-matching oracle likewise avoids the sampler's sparse input layer:
 it walks each trajectory through the scalar MDP and feeds dense state
 encodings to DenseNet.forward/backward, one trajectory at a time.
 
-rollout_activations, adam_accumulate_and_step_reference and
-greedy_color_reference keep the straightforward forms of code the package now
-does faster: rebuilding a batch's activations from its actions (the loss
-reuses the rollout's), the Adam update written with temporaries (the
-package's runs in place), and greedy coloring with a Python set per vertex
-(the package's runs on a blocked-color matrix).
+rollout_activations, adam_accumulate_and_step_reference,
+greedy_color_reference and sample_batch_reference keep the straightforward
+forms of code the package now does faster: rebuilding a batch's activations
+from its actions (the loss reuses the rollout's), the Adam update written with
+temporaries (the package's runs in place), greedy coloring with a Python set
+per vertex (the package's runs on a blocked-color matrix), and the lockstep
+rollout's masks and state update that read every later neighbor's blocked
+colors and gather four W0 rows per live row (the package's count blocked
+colors and add rows of one per-step delta table).
 """
 import itertools
 
 import numpy as np
+
+from pauliflow import gflownet
 
 PAULI_MATS = {
     "I": np.eye(2, dtype=complex),
@@ -177,3 +182,51 @@ def greedy_color_reference(g, strategy: str, seed: int = 0) -> np.ndarray:
     for v in order:
         assignment[v] = smallest_free({int(c) for c in assignment[g.adjacency[v]] if c != 0})
     return assignment
+
+
+class ReferenceRollout(gflownet._BatchRollout):
+    """_BatchRollout with the feasibility check summing every later neighbor's
+    (B, cap) blocked row, and with state updates on live rows only."""
+
+    def __init__(self, net, mdp, batch, record=False):
+        super().__init__(net, mdp, batch, record)
+        self.blocked = np.zeros((batch, mdp.n_vertices, mdp.color_cap), dtype=bool)
+
+    def step_masks(self, k):
+        mdp = self.mdp
+        cap = mdp.color_cap
+        v = int(mdp.vertex_order[k])
+        limit = np.minimum(self.max_colors + 1, cap)
+        mask = np.arange(cap)[None, :] < limit[:, None]
+        mask &= ~self.blocked[:, v, :]
+        blocked = self.blocked[:, mdp.later_neighbors[k], :]
+        rows, nbrs = np.nonzero(blocked.sum(axis=2) == cap - 1)
+        mask[rows, np.argmin(blocked[rows, nbrs], axis=1)] = False
+        return mask
+
+    def apply(self, k, actions, mask):
+        mdp = self.mdp
+        v = int(mdp.vertex_order[k])
+        alive = ~self.dead
+        picked = mask[np.arange(actions.shape[0]), actions]
+        self.dead |= alive & ~picked
+        alive = ~self.dead
+        self.actions[:, k] = actions
+        self.masks[:, k, :] = mask
+        colors = actions + 1
+        self.assignments[alive, v] = colors[alive]
+        self.max_colors[alive] = np.maximum(self.max_colors[alive], colors[alive])
+        rows = np.flatnonzero(alive)
+        self.blocked[rows[:, None], mdp.later_neighbors[k], actions[rows, None]] = True
+        if k + 1 < mdp.n_vertices:
+            self.l1_pre[rows] += gflownet._l1_step(self.net, mdp, k, colors[rows])
+
+
+def sample_batch_reference(net, mdp, batch, rng, record=False):
+    """gflownet._sample_batch (same draws, same re-rolls) run on ReferenceRollout."""
+    fast = gflownet._BatchRollout
+    gflownet._BatchRollout = ReferenceRollout
+    try:
+        return gflownet._sample_batch(net, mdp, batch, rng, record)
+    finally:
+        gflownet._BatchRollout = fast

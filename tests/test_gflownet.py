@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import flow_matching_loss_dense, rollout_activations
+from oracles import flow_matching_loss_dense, rollout_activations, sample_batch_reference
 from pauliflow.gflownet import (
     ColoringMDP,
     NoActionError,
@@ -65,6 +65,21 @@ def sample_batch(net, mdp, rng, batch, hamiltonian=None, measurement=Measurement
         np.stack([t.masks for t in trajs]),
         np.array([t.reward for t in trajs]),
     )
+
+
+def feasibility_drops(mdp, actions, masks):
+    """(B, n, cap): the colors that properness, canonical fresh colors and the
+    cap allow at each step of each trajectory but its mask does not, i.e. the
+    colors the one-step feasibility check dropped."""
+    batch, n = actions.shape
+    colors = actions + 1
+    before = np.zeros((batch, n), dtype=np.int64)  # max color before each step
+    before[:, 1:] = np.maximum.accumulate(colors[:, :-1], axis=1)
+    allowed = np.arange(mdp.color_cap) < np.minimum(before + 1, mdp.color_cap)[:, :, None]
+    for k in range(n):
+        earlier = mdp.order_position[mdp.earlier_neighbors[k]]
+        allowed[np.arange(batch)[:, None], k, colors[:, earlier] - 1] = False
+    return allowed & ~masks
 
 
 def max_relative_error(got, want):
@@ -258,20 +273,25 @@ class TestSampling:
                 assert traj.coloring.max_color <= cap
 
     def test_batch_masks_match_scalar_legal_actions(self):
-        """The lockstep sampler must agree with the reference state machinery."""
+        """The lockstep sampler must agree with the reference state machinery
+        on every row and step, feasibility drops included."""
+        drops = 0
         for seed in range(5):
-            g = random_graph(6, 0.5, seed)
+            g = random_graph(10 + seed % 3, 0.5, seed)
             cap = greedy_color(g, "random_sequential", seed=seed).max_color
             mdp = ColoringMDP(g, cap)
             net = DenseNet.initialize([mdp.encoding_dim, 8, cap], seed=seed)
             rng = np.random.Generator(np.random.PCG64(seed + 99))
-            traj = sample_trajectory(net, mdp, rng)
-            state = mdp.initial_state()
-            for k in range(traj.n_steps):
-                assert np.array_equal(traj.masks[k], legal_actions(state))
-                state = state.child(int(traj.actions[k]))
-            assert state.is_terminal()
-            assert np.array_equal(state.assignment, traj.coloring.assignment)
+            rollout, _ = _sample_batch(net, mdp, 32, rng)
+            for b in range(32):
+                state = mdp.initial_state()
+                for k in range(mdp.n_vertices):
+                    assert np.array_equal(rollout.masks[b, k], legal_actions(state))
+                    state = state.child(int(rollout.actions[b, k]))
+                assert state.is_terminal()
+                assert np.array_equal(state.assignment, rollout.assignments[b])
+            drops += int(feasibility_drops(mdp, rollout.actions, rollout.masks).sum())
+        assert drops > 0
 
 
 class TestSparseInputFastPath:
@@ -339,6 +359,29 @@ class TestSparseInputFastPath:
         dense_loss, dense_grads = flow_matching_loss_dense(net, mdp, rollout.actions, rewards)
         assert loss == pytest.approx(dense_loss, rel=1e-10)
         assert max_relative_error(grads, dense_grads) < 1e-10
+
+    @pytest.mark.parametrize("n_vertices, p, seed", [(12, 0.5, 0), (24, 0.3, 3), (30, 0.3, 2), (30, 0.3, 3)])
+    def test_matches_reference_rollout(self, n_vertices, p, seed):
+        """Counted blocked colors and the layer-1 updates draw the same samples,
+        bit for bit, as the straightforward masks and updates."""
+        g = random_graph(n_vertices, p, seed)
+        mdp = ColoringMDP(g, greedy_color(g, "random_sequential", seed=seed).max_color)
+        net = DenseNet.initialize([mdp.encoding_dim, 10, 7, mdp.n_actions], seed=seed)
+
+        def run(sample, batch):
+            return sample(net, mdp, batch, np.random.Generator(np.random.PCG64(seed)), record=True)
+
+        # per-row layer-1 deltas at batch = cap, the per-color table at 16 > cap
+        for batch in (mdp.color_cap, 16):
+            fast, restarts = run(_sample_batch, batch)
+            ref, ref_restarts = run(sample_batch_reference, batch)
+            assert restarts == ref_restarts
+            for name in ("actions", "masks", "assignments", "log_flows"):
+                assert np.array_equal(getattr(fast, name), getattr(ref, name)), name
+            for kept, want in zip(fast.hidden, ref.hidden, strict=True):
+                assert np.array_equal(kept, want)
+        assert restarts > 0
+        assert feasibility_drops(mdp, fast.actions, fast.masks).any()
 
     def test_sampling_does_not_record(self):
         g = random_graph(6, 0.5, 0)
@@ -561,3 +604,7 @@ class TestTraining:
             assert np.array_equal(ca.assignment, cb.assignment)
             assert ma == mb and ra == rb
         assert loaded.best.m_est == sampler.best.m_est
+        # loading reads no optimizer state, so a loaded sampler cannot be saved again
+        assert loaded.adam is None
+        with pytest.raises(ValueError, match="no optimizer state"):
+            loaded.save(tmp_path / "again.npz")

@@ -237,6 +237,21 @@ class TestCheckpoint:
         assert state2.lr == state.lr and state2.accumulation_period == 5
         for a, b in zip(state.m + state.v + state.accum, state2.m + state2.v + state2.accum):
             assert np.array_equal(a, b)
+    def test_load_without_optimizer_state(self, tmp_path):
+        net = DenseNet.initialize([4, 8, 3], seed=3)
+        meta = {"mode": "fc", "color_cap": 3}
+        path = tmp_path / "ckpt.npz"
+        save_checkpoint(path, net, AdamState.for_net(net), meta)
+        # the same archive without Adam's arrays: a weights-only load never reads them
+        with np.load(path) as data:
+            kept = {k: data[k] for k in data.files if not k.startswith("adam_")}
+        np.savez(path, **kept)
+        net2, state2, meta2 = load_checkpoint(path, optimizer=False)
+        assert state2 is None and meta2 == meta
+        for a, b in zip(net.parameters(), net2.parameters(), strict=True):
+            assert np.array_equal(a, b)
+        with pytest.raises(ValueError, match="not a pauliflow checkpoint"):
+            load_checkpoint(path)
 
     def test_resume_continues_identically(self, tmp_path):
         def train(net, state, n):
