@@ -24,11 +24,8 @@ is the workaround. Each training iteration runs the network forward once:
 the training rollout records every state's log-flows and hidden activations,
 and the flow-matching loss reuses them and runs only the backward pass.
 
-Besides that forward pass, one lockstep step of B rows costs one (B, h1)
-gather-add for the layer-1 update (from a per-step table of color deltas
-when B exceeds the cap) and a few (n_later, B) gathers for the masks. A per-vertex count of blocked
-colors finds the later neighbors that the feasibility check must look at,
-those with one color left, without reading every neighbor's blocked colors.
+What one lockstep step costs besides that forward pass, and what the
+blocked-color counts are for, is set out in the _BatchRollout docstring.
 """
 from __future__ import annotations
 
@@ -300,11 +297,9 @@ class _BatchRollout:
     """Lockstep sampler: every trajectory colors vertex order[k] at step k.
 
     Layer-1 preactivations are maintained incrementally per row, since one
-    step changes a single vertex slot and the cursor in the encoding. When
-    the batch has more rows than there are colors (sampling), a step builds
-    a (cap, h1) table of the per-color changes and adds the taken color's
-    row to every row; smaller batches (training) compute each row's change
-    directly. Both give the same bits.
+    step changes a single vertex slot and the cursor in the encoding: a step
+    builds a (cap, h1) table of the per-color changes and adds the taken
+    color's row to every row.
 
     blocked (n, B, cap) marks the colors each vertex's colored neighbors
     hold, vertex-major so that one neighbor's rows are contiguous, and
@@ -373,11 +368,7 @@ class _BatchRollout:
         self.blocked_counts[later] += ~self.blocked[later[:, None], rows, actions]
         self.blocked[later[:, None], rows, actions] = True
         if k + 1 < mdp.n_vertices:
-            # the same deltas, per row, or per color and gathered when rows outnumber colors
-            if actions.shape[0] <= cap:
-                self.l1_pre += _l1_step(self.net, mdp, k, colors)
-            else:
-                self.l1_pre += _l1_step(self.net, mdp, k, np.arange(1, cap + 1))[actions]
+            self.l1_pre += _l1_step(self.net, mdp, k, np.arange(1, cap + 1))[actions]
 
     def take_rows(self, dst: np.ndarray, other: "_BatchRollout", src: np.ndarray) -> None:
         """Overwrite rows dst with rows src of another rollout of the same net."""

@@ -237,6 +237,7 @@ class TestCheckpoint:
         assert state2.lr == state.lr and state2.accumulation_period == 5
         for a, b in zip(state.m + state.v + state.accum, state2.m + state2.v + state2.accum):
             assert np.array_equal(a, b)
+
     def test_load_without_optimizer_state(self, tmp_path):
         net = DenseNet.initialize([4, 8, 3], seed=3)
         meta = {"mode": "fc", "color_cap": 3}
