@@ -7,15 +7,9 @@ against the estimated measurement budget.
 """
 from .gflownet import (
     ColoringMDP,
-    ColoringState,
     TrainConfig,
     TrainedSampler,
-    Trajectory,
-    encode_state,
     flow_matching_loss,
-    forward_policy,
-    legal_actions,
-    sample_trajectory,
     train,
 )
 from .graphs import (
@@ -36,7 +30,7 @@ from .hamio import (
     loads_hamiltonian,
     write_hamiltonian,
 )
-from .measurement import MeasurementConfig, estimate_measurements, reward
+from .measurement import MeasurementConfig, estimate_measurements
 from .nn import AdamState, DenseNet, adam_accumulate_and_step, load_checkpoint, save_checkpoint
 from .pauli import PauliWord, QubitHamiltonian, commutes_fc, commutes_qwc
 
@@ -46,7 +40,6 @@ __all__ = [
     "AdamState",
     "Coloring",
     "ColoringMDP",
-    "ColoringState",
     "CompatGraph",
     "DenseNet",
     "Grouping",
@@ -55,7 +48,6 @@ __all__ = [
     "QubitHamiltonian",
     "TrainConfig",
     "TrainedSampler",
-    "Trajectory",
     "adam_accumulate_and_step",
     "build_complement_graph",
     "bundled_path",
@@ -64,18 +56,13 @@ __all__ = [
     "commutes_fc",
     "commutes_qwc",
     "dump_hamiltonian",
-    "encode_state",
     "estimate_measurements",
     "exact_min_colors",
     "flow_matching_loss",
-    "forward_policy",
     "greedy_color",
-    "legal_actions",
     "load_checkpoint",
     "load_hamiltonian",
     "loads_hamiltonian",
-    "reward",
-    "sample_trajectory",
     "save_checkpoint",
     "train",
     "validate_coloring",

@@ -238,17 +238,19 @@ def cmd_compare(args) -> int:
 def cmd_histogram(args) -> int:
     if args.samples < 1:
         raise CliInputError("--samples must be >= 1")
+    if args.bin_width is not None and not 0 < args.bin_width < float("inf"):
+        raise CliInputError(f"--bin-width must be a positive, finite number, got {args.bin_width}")
     try:
         sampler = TrainedSampler.load(args.checkpoint)
     except FileNotFoundError as err:
         raise CliInputError(f"cannot read checkpoint {args.checkpoint}: {err}") from err
-    except ValueError as err:  # not an .npz archive (numpy refuses pickled data)
+    except ValueError as err:  # not an .npz archive, or not one the sampler wrote
         raise CliInputError(f"{args.checkpoint} is not a checkpoint: {err}") from err
     samples = sampler.sample(args.samples, rng=args.seed)
     m_values = np.array([m for _, m, _ in samples])
     colors = np.array([c.max_color for c, _, _ in samples])
     lo, hi = float(m_values.min()), float(m_values.max())
-    width = args.bin_width if args.bin_width else (hi - lo) / 100.0
+    width = args.bin_width if args.bin_width is not None else (hi - lo) / 100.0
     if width <= 0:
         width = max(abs(hi), 1.0)  # all samples identical: one bin
     bins = np.floor((m_values - lo) / width).astype(np.int64)

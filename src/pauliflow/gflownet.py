@@ -6,6 +6,11 @@ every state has a unique parent and the state DAG is a tree, so the
 flow-matching residual at a state compares the single incoming edge flow
 against the total outgoing flow (or the terminal reward).
 
+The lockstep batch rollout, _BatchRollout, is the only implementation of
+this MDP: train(), TrainedSampler.sample() and so the histogram command all
+run it, its step_masks is the one action mask, and its docstring gives what
+a step costs. _terminal_metrics gives every finished row's m_est and reward.
+
 Actions are colors 1..color_cap. The action mask enforces, in order:
   - properness: no already-colored neighbor holds the candidate color;
   - canonical fresh colors: a candidate may exceed the current maximum
@@ -23,9 +28,6 @@ after 1616 restarts; widening the cap (mask_extra_colors, `--mask-extra`)
 is the workaround. Each training iteration runs the network forward once:
 the training rollout records every state's log-flows and hidden activations,
 and the flow-matching loss reuses them and runs only the backward pass.
-
-What one lockstep step costs besides that forward pass, and what the
-blocked-color counts are for, is set out in the _BatchRollout docstring.
 """
 from __future__ import annotations
 
@@ -46,10 +48,6 @@ from .nn import (
     save_checkpoint,
 )
 from .pauli import QubitHamiltonian
-
-
-class NoActionError(ValueError):
-    """legal_actions / policy queried on a terminal state."""
 
 
 class ColoringMDP:
@@ -88,114 +86,6 @@ class ColoringMDP:
     def encoding_dim(self) -> int:
         n = self.n_vertices
         return n * (self.color_cap + 1) + n
-
-    def initial_state(self) -> "ColoringState":
-        return ColoringState(self, np.zeros(self.n_vertices, dtype=np.int64), 0)
-
-
-@dataclass(frozen=True)
-class ColoringState:
-    """Partial coloring with the first `cursor` vertices of the order assigned."""
-
-    mdp: ColoringMDP
-    assignment: np.ndarray
-    cursor: int
-
-    def __post_init__(self):
-        self.assignment.setflags(write=False)
-
-    def is_terminal(self) -> bool:
-        return self.cursor == self.mdp.n_vertices
-
-    @property
-    def current_vertex(self) -> int:
-        if self.is_terminal():
-            raise NoActionError("terminal state has no vertex to color")
-        return int(self.mdp.vertex_order[self.cursor])
-
-    @property
-    def max_color(self) -> int:
-        return int(self.assignment.max(initial=0))
-
-    def child(self, action: int) -> "ColoringState":
-        """State after coloring the current vertex with color action+1."""
-        if not legal_actions(self)[action]:
-            raise ValueError(f"action {action} (color {action + 1}) is masked")
-        assignment = self.assignment.copy()
-        assignment[self.current_vertex] = action + 1
-        return ColoringState(self.mdp, assignment, self.cursor + 1)
-
-    def coloring(self) -> Coloring:
-        return Coloring(self.assignment.copy())
-
-
-def encode_state(state: ColoringState) -> np.ndarray:
-    """Fixed-length featurization: per-vertex one-hot over {uncolored, colors}
-    followed by a one-hot of the vertex being colored (all zero at terminal)."""
-    mdp = state.mdp
-    n, cap = mdp.n_vertices, mdp.color_cap
-    enc = np.zeros(mdp.encoding_dim)
-    enc[np.arange(n) * (cap + 1) + state.assignment] = 1.0
-    if not state.is_terminal():
-        enc[n * (cap + 1) + state.current_vertex] = 1.0
-    return enc
-
-
-def legal_actions(state: ColoringState) -> np.ndarray:
-    """Boolean mask over colors 1..color_cap for the vertex at the cursor."""
-    if state.is_terminal():
-        raise NoActionError("terminal state has no legal actions")
-    mdp = state.mdp
-    cap = mdp.color_cap
-    assignment = state.assignment
-    mask = np.zeros(cap, dtype=bool)
-    limit = min(state.max_color + 1, cap)
-    mask[:limit] = True
-    for u in mdp.earlier_neighbors[state.cursor]:
-        mask[assignment[u] - 1] = False
-    # drop candidates that would block off an uncolored neighbor entirely
-    for u in mdp.later_neighbors[state.cursor]:
-        blocked = np.zeros(cap, dtype=bool)
-        for w in mdp.graph.neighbors(int(u)):
-            if assignment[w] != 0:
-                blocked[assignment[w] - 1] = True
-        if blocked.sum() == cap - 1:
-            missing = int(np.flatnonzero(~blocked)[0])
-            mask[missing] = False
-    return mask
-
-
-def forward_policy(net: DenseNet, state: ColoringState) -> np.ndarray:
-    """Categorical over colors: softmax of the log-flows on unmasked actions."""
-    mask = legal_actions(state)
-    logits = net.forward(encode_state(state))
-    probs = np.zeros_like(logits)
-    allowed = logits[mask]
-    shifted = np.exp(allowed - allowed.max())
-    probs[mask] = shifted / shifted.sum()
-    return probs
-
-
-@dataclass
-class Trajectory:
-    """One rollout: actions taken per step plus terminal metrics."""
-
-    mdp: ColoringMDP
-    actions: np.ndarray  # (n_vertices,) 0-based color indices
-    masks: np.ndarray  # (n_vertices, color_cap) legal-action masks seen
-    coloring: Coloring
-    reward: float
-    m_est: float
-
-    @property
-    def n_steps(self) -> int:
-        return self.actions.shape[0]
-
-    def states(self) -> list[ColoringState]:
-        out = [self.mdp.initial_state()]
-        for a in self.actions:
-            out.append(out[-1].child(int(a)))
-        return out
 
 
 # State encodings are one-hot with exactly n_vertices+1 active entries (one
@@ -500,29 +390,18 @@ class TrainedSampler:
     def best_reward(self) -> float:
         return self._best_reward
 
-    def _metrics(self, assignment_row: np.ndarray) -> tuple[float, float, int]:
-        return _terminal_metrics(
-            self.hamiltonian, self.mdp.color_cap, assignment_row, self.config.measurement
-        )
-
     def _record(self, rollout: _BatchRollout, iteration: int) -> np.ndarray:
-        rewards = np.empty(rollout.assignments.shape[0])
-        for b in range(rollout.assignments.shape[0]):
-            row = rollout.assignments[b]
-            m_est, rew, colors = self._metrics(row)
-            rewards[b] = rew
+        m_est, rewards, colors = _terminal_metrics(
+            self.hamiltonian, self.mdp.color_cap, rollout.assignments, self.config.measurement
+        )
+        rows = zip(rollout.assignments, m_est.tolist(), rewards.tolist(), colors.tolist())
+        for row, m, rew, c in rows:
             key = row.tobytes()
             if key not in self.discovered:
-                found = DiscoveredGrouping(
-                    assignment=row.copy(),
-                    color_count=colors,
-                    m_est=m_est,
-                    reward=rew,
-                    first_iteration=iteration,
-                )
+                found = DiscoveredGrouping(row.copy(), c, m, rew, iteration)
                 self.discovered[key] = found
                 self._best_reward = max(self._best_reward, rew)
-                if self._best is None or (m_est, colors) < (self._best.m_est, self._best.color_count):
+                if self._best is None or (m, c) < (self._best.m_est, self._best.color_count):
                     self._best = found
         return rewards
 
@@ -534,11 +413,13 @@ class TrainedSampler:
             rng = np.random.Generator(np.random.PCG64(rng))
         rollout, restarts = _sample_batch(self.net, self.mdp, n, rng)
         self.dead_end_restarts += restarts
-        out = []
-        for b in range(n):
-            m_est, rew, _ = self._metrics(rollout.assignments[b])
-            out.append((Coloring(rollout.assignments[b].copy()), m_est, rew))
-        return out
+        m_est, rewards, _ = _terminal_metrics(
+            self.hamiltonian, self.mdp.color_cap, rollout.assignments, self.config.measurement
+        )
+        return [
+            (Coloring(row.copy()), m, rew)
+            for row, m, rew in zip(rollout.assignments, m_est.tolist(), rewards.tolist())
+        ]
 
     def save(self, path) -> None:
         """Checkpoint the network, Adam's state and the metadata load() needs.
@@ -588,54 +469,47 @@ class TrainedSampler:
             missing = err.args[0]
             raise ValueError(f"not a pauliflow checkpoint: no {missing!r} in its metadata") from err
         mdp = ColoringMDP(build_complement_graph(h, config.mode), color_cap)
+        if net.layer_sizes[0] != mdp.encoding_dim or net.layer_sizes[-1] != color_cap:
+            raise ValueError(
+                f"its network maps {net.layer_sizes[0]} inputs to {net.layer_sizes[-1]} colors, "
+                f"but color_cap {color_cap} on {mdp.n_vertices} terms needs {mdp.encoding_dim} inputs"
+            )
         sampler = cls(h, mdp, net, config)
         best = metadata.get("best_assignment")
         if best is not None:
             row = np.asarray(best, dtype=np.int64)
-            m_est, rew, colors = sampler._metrics(row)
-            found = DiscoveredGrouping(row, colors, m_est, rew, -1)
+            m_est, rew, colors = _terminal_metrics(h, color_cap, row[None], config.measurement)
+            found = DiscoveredGrouping(row, int(colors[0]), float(m_est[0]), float(rew[0]), -1)
             sampler.discovered[row.tobytes()] = found
             sampler._best = found
-            sampler._best_reward = rew
+            sampler._best_reward = found.reward
         return sampler
 
 
 def _terminal_metrics(
-    h: QubitHamiltonian, color_cap: int, assignment: np.ndarray, cfg: MeasurementConfig
-) -> tuple[float, float, int]:
-    """(m_est, reward, color_count) for a complete assignment row."""
-    per_color = np.bincount(
-        assignment, weights=h.coefficients() ** 2, minlength=color_cap + 1
-    )[1:]
-    m_est = float(np.sum(np.sqrt(per_color[per_color > 0])) ** 2 / cfg.epsilon**2)
-    colors = int(assignment.max(initial=0))
-    rew = float(h.n_terms - colors) + cfg.lambda0 / m_est
-    return m_est, rew, colors
+    h: QubitHamiltonian, color_cap: int, assignments: np.ndarray, cfg: MeasurementConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(m_est, reward, color_count), each (B,), of complete rows (B, n) whose
+    colors run 1..color_count: m_est is estimate_measurements' bound and the
+    reward (n_terms - color_count) + lambda0 / m_est.
 
-
-def sample_trajectory(
-    net: DenseNet,
-    mdp: ColoringMDP,
-    rng: np.random.Generator,
-    hamiltonian: QubitHamiltonian | None = None,
-    measurement: MeasurementConfig = MeasurementConfig(),
-) -> Trajectory:
-    """Single rollout through the masked policy. When the Hamiltonian is
-    given, the terminal reward and measurement estimate are filled in."""
-    rollout, _ = _sample_batch(net, mdp, 1, rng)
-    assignment = rollout.assignments[0]
-    if hamiltonian is not None:
-        m_est, rew, _ = _terminal_metrics(hamiltonian, mdp.color_cap, assignment, measurement)
-    else:
-        m_est, rew = float("nan"), 1.0
-    return Trajectory(
-        mdp=mdp,
-        actions=rollout.actions[0].copy(),
-        masks=rollout.masks[0].copy(),
-        coloring=Coloring(assignment.copy()),
-        reward=rew,
-        m_est=m_est,
-    )
+    One bincount with row offsets sums every row's c^2 per color. m_est keeps
+    the bits of summing one row's nonzero sums alone: a row sums only its
+    first color_count entries (zero padding would regroup numpy's pairwise
+    sum), and float_power squares with libm's pow, as scalar ** does.
+    """
+    batch, width = assignments.shape[0], color_cap + 1
+    slots = assignments + width * np.arange(batch)[:, None]
+    weights = np.broadcast_to(h.coefficients() ** 2, assignments.shape).ravel()
+    per_color = np.bincount(slots.ravel(), weights=weights, minlength=batch * width)
+    per_color = per_color.reshape(batch, width)[:, 1:]
+    colors = assignments.max(axis=1, initial=0)
+    roots = np.empty(batch)
+    for c in set(colors.tolist()):
+        rows = colors == c
+        roots[rows] = np.sqrt(per_color[rows, :c]).sum(axis=1)
+    m_est = np.float_power(roots, 2) / cfg.epsilon**2
+    return m_est, (h.n_terms - colors) + cfg.lambda0 / m_est, colors
 
 
 def train(h: QubitHamiltonian, config: TrainConfig | None = None) -> TrainedSampler:
@@ -697,18 +571,3 @@ def training_log_csv(log: list[IterationLog]) -> str:
             f"{row.iteration},{row.mean_loss!r},{row.best_reward!r},{row.best_m_est!r},{row.best_colors}"
         )
     return "\n".join(lines) + "\n"
-
-
-def enumerate_terminal_assignments(mdp: ColoringMDP) -> list[np.ndarray]:
-    """All reachable terminal assignments under the masked MDP (DFS)."""
-    out: list[np.ndarray] = []
-
-    def walk(state: ColoringState):
-        if state.is_terminal():
-            out.append(state.assignment.copy())
-            return
-        for action in np.flatnonzero(legal_actions(state)):
-            walk(state.child(int(action)))
-
-    walk(mdp.initial_state())
-    return out

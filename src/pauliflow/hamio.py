@@ -8,8 +8,10 @@
 
 One header line, then one term per line: a decimal coefficient followed by
 either sparse Pauli tokens (0-based qubit indices, strictly ascending) or the
-single token "I" for the identity contribution. "#" lines and blank lines are
-ignored. UTF-8; LF or CRLF accepted on read, LF written. Loading
+single token "I" for the identity contribution. Terms are parsed by
+PauliWord.from_text, so a dense letter string of the declared width ("XIZY")
+is read as well; writing always uses sparse tokens. "#" lines and blank lines
+are ignored. UTF-8; LF or CRLF accepted on read, LF written. Loading
 canonicalizes (duplicates merged, identity folded into the offset,
 sub-tolerance terms pruned), so load(write(h)) == h for canonical h.
 """
@@ -20,12 +22,11 @@ import os
 import re
 from typing import IO, Union
 
-from .pauli import DEFAULT_PRUNE_TOL, PauliFormatError, PauliWord, QubitHamiltonian
+from .pauli import DEFAULT_PRUNE_TOL, DimensionError, PauliFormatError, PauliWord, QubitHamiltonian
 
 Source = Union[str, os.PathLike, IO[bytes], IO[str]]
 
 _HEADER = re.compile(r"^qubits:\s*(\d+)\s*$")
-_SPARSE_TOKEN = re.compile(r"^([XYZ])(\d+)$")
 
 
 class HamiltonianParseError(ValueError):
@@ -51,27 +52,10 @@ def _parse_word(spec: str, n_qubits: int, line_no: int) -> PauliWord | None:
     """Returns None for the identity token."""
     if spec == "I":
         return None
-    x = [False] * n_qubits
-    z = [False] * n_qubits
-    last_q = -1
-    for token in spec.split():
-        m = _SPARSE_TOKEN.match(token)
-        if m is None:
-            raise HamiltonianParseError(line_no, f"invalid Pauli token {token!r}")
-        q = int(m.group(2))
-        if q >= n_qubits:
-            raise HamiltonianParseError(
-                line_no, f"qubit index {q} out of range (file declares {n_qubits} qubits)"
-            )
-        if q == last_q:
-            raise HamiltonianParseError(line_no, f"qubit {q} repeated in term")
-        if q < last_q:
-            raise HamiltonianParseError(line_no, "qubit indices must be ascending")
-        last_q = q
-        letter = m.group(1)
-        x[q] = letter in ("X", "Y")
-        z[q] = letter in ("Y", "Z")
-    return PauliWord(n_qubits, x, z)
+    try:
+        return PauliWord.from_text(spec, n_qubits)
+    except (PauliFormatError, DimensionError) as err:
+        raise HamiltonianParseError(line_no, str(err)) from None
 
 
 def load_hamiltonian(source: Source, prune_tol: float = DEFAULT_PRUNE_TOL) -> QubitHamiltonian:

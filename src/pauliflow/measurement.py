@@ -1,4 +1,4 @@
-"""Measurement-budget estimate for a grouping and the sampler reward.
+"""Measurement-budget estimate for a grouping, and the reward's settings.
 
 For a partition of the Hamiltonian terms into compatible groups, the number
 of single-shot measurements needed to reach accuracy epsilon is estimated as
@@ -13,6 +13,10 @@ estimate is available.
 The sampler reward trades group count against the measurement estimate:
 
     reward = (n_terms - max_color) + lambda0 / m_est
+
+MeasurementConfig holds epsilon and lambda0. The sampler computes m_est and
+the reward itself, for a whole batch of assignment rows at once, in
+gflownet._terminal_metrics; tests pin its m_est to estimate_measurements.
 """
 from __future__ import annotations
 
@@ -21,7 +25,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .graphs import CompatGraph, Coloring, Grouping, coloring_to_grouping
+from .graphs import Grouping
 from .pauli import QubitHamiltonian
 
 CHEMICAL_ACCURACY_HA = 1.6e-3
@@ -73,15 +77,3 @@ def estimate_measurements(
             var = float(np.sum(coeffs[list(group)] ** 2))
         total += np.sqrt(var)
     return float(total**2 / epsilon**2)
-
-
-def reward(
-    h: QubitHamiltonian,
-    graph: CompatGraph,
-    coloring: Coloring,
-    config: MeasurementConfig = MeasurementConfig(),
-) -> float:
-    """(n_terms - max_color) + lambda0 / m_est; defined for proper complete colorings only."""
-    grouping = coloring_to_grouping(graph, coloring)  # validates the coloring
-    m_est = estimate_measurements(h, grouping, config.epsilon)
-    return float(h.n_terms - coloring.max_color) + config.lambda0 / m_est

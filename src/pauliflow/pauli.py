@@ -79,8 +79,10 @@ class PauliWord:
     def from_text(cls, text: str, n_qubits: int | None = None) -> "PauliWord":
         """Parse either a dense string ("XIZ") or sparse tokens ("X0 Z2").
 
-        The sparse form needs an explicit n_qubits; the token "I" denotes the
-        all-identity word (n_qubits required).
+        The sparse form needs an explicit n_qubits and strictly ascending
+        qubit indices, as to_sparse writes them; the token "I" denotes the
+        all-identity word (n_qubits required). This is the package's one
+        sparse-token parser: the Hamiltonian file reader uses it too.
         """
         text = text.strip()
         if not text:
@@ -98,7 +100,7 @@ class PauliWord:
             raise PauliFormatError("sparse Pauli text needs an explicit n_qubits")
         x = np.zeros(n_qubits, bool)
         z = np.zeros(n_qubits, bool)
-        seen: set[int] = set()
+        last = -1
         for token in text.split():
             m = _SPARSE_TOKEN.match(token)
             if m is None:
@@ -106,9 +108,11 @@ class PauliWord:
             q = int(m.group(2))
             if q >= n_qubits:
                 raise PauliFormatError(f"qubit index {q} out of range for {n_qubits} qubits")
-            if q in seen:
+            if q == last:
                 raise PauliFormatError(f"qubit {q} repeated in {text!r}")
-            seen.add(q)
+            if q < last:
+                raise PauliFormatError(f"qubit indices must be ascending in {text!r}")
+            last = q
             x[q], z[q] = _LETTER_TO_BITS[m.group(1)]
         return cls(n_qubits, x, z)
 

@@ -2,25 +2,31 @@
 
 These deliberately avoid the package's symplectic code paths: words are
 handled as letter strings and checks go through explicit dense matrices.
-The flow-matching oracle likewise avoids the sampler's sparse input layer:
-it walks each trajectory through the scalar MDP and feeds dense state
-encodings to DenseNet.forward/backward, one trajectory at a time.
+
+The coloring MDP here is this file's own, not the package's, which runs the
+MDP only as the lockstep batch rollout: legal_actions and encode_state take
+one state (mdp, assignment, cursor) and rebuild its mask and dense one-hot
+encoding from the definitions. The flow-matching oracle feeds those dense
+encodings to DenseNet.forward/backward one trajectory at a time.
+enumerate_terminals instead forces every action row through one batch
+rollout, so it enumerates the mask the sampler draws from.
 
 rollout_activations, adam_accumulate_and_step_reference,
-greedy_color_reference and sample_batch_reference keep the straightforward
-forms of code the package now does faster: rebuilding a batch's activations
-from its actions (the loss reuses the rollout's), the Adam update written with
+greedy_color_reference, sample_batch_reference and terminal_metrics_row keep
+the straightforward forms of code the package now does faster: activations
+rebuilt from actions (the loss reuses the rollout's), the Adam update with
 temporaries (the package's runs in place), greedy coloring with a Python set
-per vertex (the package's runs on a blocked-color matrix), and the lockstep
-rollout's masks and state update that read every later neighbor's blocked
-colors and gather four W0 rows per live row (the package's count blocked
-colors and add rows of one per-step delta table).
+per vertex (the package's uses a blocked-color matrix), masks that read every
+later neighbor's blocked colors and per-row W0 gathers (the package's count
+blocked colors and add rows of a per-step delta table), and one row's m_est
+and reward (the package's take a whole batch in one bincount).
 """
 import itertools
 
 import numpy as np
 
 from pauliflow import gflownet
+from pauliflow.nn import DenseNet
 
 PAULI_MATS = {
     "I": np.eye(2, dtype=complex),
@@ -69,23 +75,98 @@ def estimate_measurements_oracle(coeffs, groups, epsilon: float) -> float:
     return float(total**2 / epsilon**2)
 
 
+def legal_actions(mdp, assignment, cursor):
+    """Boolean mask over colors 1..color_cap for vertex order[cursor]:
+    properness, canonical fresh colors, the cap, and one-step feasibility
+    (a later neighbor's only free color is dropped)."""
+    colors = np.arange(1, mdp.color_cap + 1)
+    mask = colors <= assignment.max(initial=0) + 1
+    mask[assignment[mdp.earlier_neighbors[cursor]] - 1] = False
+    for u in mdp.later_neighbors[cursor]:
+        free = np.setdiff1d(colors, assignment[mdp.graph.neighbors(int(u))])
+        if free.size == 1:
+            mask[free[0] - 1] = False
+    return mask
+
+
+def encode_state(mdp, assignment, cursor):
+    """Per-vertex one-hot over {uncolored, colors} followed by a one-hot of
+    the vertex being colored (all zero at the terminal state)."""
+    n, cap = mdp.n_vertices, mdp.color_cap
+    enc = np.zeros(mdp.encoding_dim)
+    enc[np.arange(n) * (cap + 1) + assignment] = 1.0
+    if cursor < n:
+        enc[n * (cap + 1) + mdp.vertex_order[cursor]] = 1.0
+    return enc
+
+
+def trajectory_states(mdp, actions):
+    """Assignments of the states s_0 .. s_len(actions) that coloring
+    order[k] with color actions[k] + 1 at each step k visits."""
+    assignment = np.zeros(mdp.n_vertices, dtype=np.int64)
+    states = [assignment.copy()]
+    for k, action in enumerate(actions):
+        assignment[mdp.vertex_order[k]] = action + 1
+        states.append(assignment.copy())
+    return states
+
+
+def terminal_assignments_dfs(mdp, assignment=None, cursor=0):
+    """Terminal assignments that a DFS over legal_actions reaches from a
+    state, and the number of dead ends (states with no legal color) it meets."""
+    if assignment is None:
+        assignment = np.zeros(mdp.n_vertices, dtype=np.int64)
+    if cursor == mdp.n_vertices:
+        return [assignment], 0
+    mask = legal_actions(mdp, assignment, cursor)
+    out, dead_ends = [], int(not mask.any())
+    for action in np.flatnonzero(mask):
+        child = assignment.copy()
+        child[mdp.vertex_order[cursor]] = action + 1
+        found, dead = terminal_assignments_dfs(mdp, child, cursor + 1)
+        out += found
+        dead_ends += dead
+    return out, dead_ends
+
+
+def forced_rollout(mdp, actions):
+    """A _BatchRollout driven through the first m steps by the (B, m) actions
+    given in place of draws. masks[:, k] holds each row's mask at step k, and
+    a row that takes a color its mask forbids is marked dead."""
+    net = DenseNet.initialize([mdp.encoding_dim, mdp.n_actions], seed=0)
+    rollout = gflownet._BatchRollout(net, mdp, actions.shape[0])
+    for k in range(actions.shape[1]):
+        rollout.apply(k, actions[:, k], rollout.step_masks(k))
+    return rollout
+
+
+def enumerate_terminals(mdp):
+    """(T, n) terminal assignments under the batch mask: all cap^n action
+    rows forced through one rollout, less the rows it marks dead."""
+    rows = itertools.product(range(mdp.color_cap), repeat=mdp.n_vertices)
+    rollout = forced_rollout(mdp, np.array(list(rows), dtype=np.int64))
+    return rollout.assignments[~rollout.dead]
+
+
+def terminal_metrics_row(h, color_cap, assignment, cfg):
+    """(m_est, reward, color_count) of one complete assignment row."""
+    per_color = np.bincount(assignment, weights=h.coefficients() ** 2, minlength=color_cap + 1)[1:]
+    m_est = float(np.sum(np.sqrt(per_color[per_color > 0])) ** 2 / cfg.epsilon**2)
+    colors = int(assignment.max(initial=0))
+    return m_est, float(h.n_terms - colors) + cfg.lambda0 / m_est, colors
+
+
 def flow_matching_loss_dense(net, mdp, actions, rewards):
     """Batch-mean flow-matching loss and parameter gradients, per trajectory
     from dense encodings of its states s_0 .. s_{n-1}; legal colors come from
     the scalar legal_actions, not from the rollout's masks."""
-    from pauliflow.gflownet import encode_state, legal_actions
-
     batch, n = actions.shape
     total = 0.0
     grads = [np.zeros_like(p) for p in net.parameters()]
     for b in range(batch):
-        state = mdp.initial_state()
-        encodings, masks = [], []
-        for action in actions[b]:
-            encodings.append(encode_state(state))
-            masks.append(legal_actions(state))
-            state = state.child(int(action))
-        enc = np.stack(encodings)
+        states = trajectory_states(mdp, actions[b])
+        enc = np.stack([encode_state(mdp, states[k], k) for k in range(n)])
+        masks = [legal_actions(mdp, states[k], k) for k in range(n)]
         out = net.forward(enc)
         gout = np.zeros_like(out)
         for k in range(1, n + 1):
@@ -111,13 +192,11 @@ def rollout_activations(net, mdp, actions):
     """Log-flows (B, n, cap) and hidden activations (one (B, n, h_k) array per
     hidden layer) at states s_0 .. s_{n-1} of each trajectory in `actions`,
     rebuilt from the sparse layer-1 steps, for flow_matching_loss."""
-    from pauliflow.gflownet import _l1_start, _l1_step
-
     batch, n = actions.shape
     # a sequential cumsum of the step rows adds them in the rollout's order
     pre = np.empty((batch, n, net.layer_sizes[1]))
-    pre[:, 0] = _l1_start(net, mdp)
-    pre[:, 1:] = _l1_step(net, mdp, np.arange(n - 1), actions[:, :-1] + 1)
+    pre[:, 0] = gflownet._l1_start(net, mdp)
+    pre[:, 1:] = gflownet._l1_step(net, mdp, np.arange(n - 1), actions[:, :-1] + 1)
     np.cumsum(pre, axis=1, out=pre)
     out, hidden = net.forward_from_pre(pre.reshape(batch * n, -1))
     return out.reshape(batch, n, -1), [h.reshape(batch, n, -1) for h in hidden]

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from pauliflow.cli import main as cli_main
-from pauliflow.gflownet import TrainConfig, enumerate_terminal_assignments, train
+from pauliflow.gflownet import TrainConfig, _terminal_metrics, train
 from pauliflow.graphs import (
     CompatGraph,
     Grouping,
@@ -29,7 +29,7 @@ from pauliflow.measurement import MeasurementConfig, estimate_measurements
 from pauliflow.nn import DenseNet
 from pauliflow.pauli import PauliWord, QubitHamiltonian, commutes_fc, commutes_qwc
 
-from oracles import all_words, commutes_dense, qwc_dense, estimate_measurements_oracle
+from oracles import all_words, commutes_dense, enumerate_terminals, estimate_measurements_oracle, qwc_dense
 
 H2_PATH = bundled_path("h2_sto3g_1A_jw.ham")
 H4_PATH = bundled_path("h4_chain_sto3g_1A_jw.ham")
@@ -273,10 +273,9 @@ def test_criterion_6_distribution_fidelity():
     )
     sampler = train(h, config)
     final_loss = sampler.log[-1].mean_loss
-    rewards = {}
-    for assignment in enumerate_terminal_assignments(sampler.mdp):
-        _, rew, _ = sampler._metrics(assignment)
-        rewards[assignment.tobytes()] = rew
+    terminals = enumerate_terminals(sampler.mdp)
+    _, terminal_rewards, _ = _terminal_metrics(h, sampler.mdp.color_cap, terminals, config.measurement)
+    rewards = {a.tobytes(): r for a, r in zip(terminals, terminal_rewards.tolist())}
     z = sum(rewards.values())
     n = 100_000
     counts: dict[bytes, int] = {}

@@ -1,0 +1,28 @@
+import importlib
+
+import pauliflow
+
+# The scalar coloring MDP and the one-coloring reward are not part of the
+# package: the lockstep rollout in pauliflow.gflownet is its only MDP.
+REMOVED = {
+    "pauliflow": ("ColoringState", "Trajectory", "encode_state", "forward_policy",
+                  "legal_actions", "reward", "sample_trajectory"),
+    "pauliflow.gflownet": ("ColoringState", "Trajectory", "NoActionError", "encode_state",
+                           "legal_actions", "forward_policy", "sample_trajectory",
+                           "enumerate_terminal_assignments"),
+    "pauliflow.measurement": ("reward",),
+}
+
+
+def test_every_exported_name_imports():
+    namespace = {}
+    exec("from pauliflow import *", namespace)  # raises if a listed name is missing
+    assert set(pauliflow.__all__) <= set(namespace)
+    assert len(set(pauliflow.__all__)) == len(pauliflow.__all__) == 30
+
+
+def test_removed_names_are_not_exported():
+    for module, names in REMOVED.items():
+        for name in names:
+            assert not hasattr(importlib.import_module(module), name), f"{module}.{name}"
+    assert not set(REMOVED["pauliflow"]) & set(pauliflow.__all__)

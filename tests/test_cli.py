@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pauliflow.cli import main
+from pauliflow.gflownet import TrainConfig, train
 from pauliflow.graphs import Coloring, build_complement_graph, validate_coloring
 from pauliflow.hamio import bundled_path, load_hamiltonian
 from pauliflow.nn import AdamState, DenseNet, save_checkpoint
@@ -121,6 +122,12 @@ BAD_INPUTS = {
     "histogram-samples-before-load": (["histogram", "--checkpoint", H2, "--samples", "0"], "--samples"),
     "histogram-foreign-npz": (["histogram", "--checkpoint", "FOREIGN_NPZ", "--samples", "5"], "not a pauliflow checkpoint"),
     "histogram-no-metadata": (["histogram", "--checkpoint", "BARE_CHECKPOINT", "--samples", "5"], "not a pauliflow checkpoint"),
+    "histogram-mismatched-cap": (["histogram", "--checkpoint", "MISMATCHED_CAP", "--samples", "5"], "color_cap"),
+    # the bin width is checked before the checkpoint (here not one) is read
+    "histogram-bin-width-negative": (["histogram", "--checkpoint", H2, "--samples", "5", "--bin-width", "-5"], "--bin-width"),
+    "histogram-bin-width-0": (["histogram", "--checkpoint", H2, "--samples", "5", "--bin-width", "0"], "--bin-width"),
+    "histogram-bin-width-nan": (["histogram", "--checkpoint", H2, "--samples", "5", "--bin-width", "nan"], "--bin-width"),
+    "histogram-bin-width-inf": (["histogram", "--checkpoint", H2, "--samples", "5", "--bin-width", "inf"], "--bin-width"),
 }
 
 
@@ -136,6 +143,18 @@ def test_bad_input_exits_2_with_error_line(capsys, tmp_path, case):
         net = DenseNet.initialize([3, 4, 2], seed=0)
         save_checkpoint(bare, net, AdamState.for_net(net))
         argv = [str(bare) if arg == "BARE_CHECKPOINT" else arg for arg in argv]
+    if "MISMATCHED_CAP" in argv:  # an H2 checkpoint whose color_cap is 3 more than its network's
+        good = tmp_path / "good.npz"
+        config = TrainConfig(iterations=1, trajectories_per_iteration=2, hidden_sizes=(4,))
+        train(load_hamiltonian(H2), config).save(good)
+        with np.load(good) as data:
+            arrays = dict(data)
+        metadata = json.loads(str(arrays["metadata"]))
+        metadata["color_cap"] += 3
+        arrays["metadata"] = np.array(json.dumps(metadata))
+        bad = tmp_path / "bad.npz"
+        np.savez(bad, **arrays)
+        argv = [str(bad) if arg == "MISMATCHED_CAP" else arg for arg in argv]
     if argv[0] == "histogram":
         argv = argv + ["--out", str(tmp_path / "h.csv")]
     code, out, err = run(capsys, *argv)

@@ -1,10 +1,20 @@
 import numpy as np
 import pytest
 
-from oracles import flow_matching_loss_dense, rollout_activations, sample_batch_reference
+from oracles import (
+    encode_state,
+    enumerate_terminals,
+    flow_matching_loss_dense,
+    forced_rollout,
+    legal_actions,
+    rollout_activations,
+    sample_batch_reference,
+    terminal_assignments_dfs,
+    terminal_metrics_row,
+    trajectory_states,
+)
 from pauliflow.gflownet import (
     ColoringMDP,
-    NoActionError,
     TrainConfig,
     TrainedSampler,
     _BatchRollout,
@@ -12,12 +22,7 @@ from pauliflow.gflownet import (
     _l1_step,
     _sample_batch,
     _terminal_metrics,
-    encode_state,
-    enumerate_terminal_assignments,
     flow_matching_loss,
-    forward_policy,
-    legal_actions,
-    sample_trajectory,
     train,
     training_log_csv,
 )
@@ -31,7 +36,7 @@ from pauliflow.graphs import (
     validate_coloring,
 )
 from pauliflow.hamio import bundled_path, load_hamiltonian, loads_hamiltonian
-from pauliflow.measurement import MeasurementConfig, estimate_measurements, reward
+from pauliflow.measurement import MeasurementConfig, estimate_measurements
 from pauliflow.nn import DenseNet
 from pauliflow.pauli import PauliWord, QubitHamiltonian
 
@@ -58,13 +63,21 @@ def loss_of(net, mdp, actions, masks, rewards):
 
 
 def sample_batch(net, mdp, rng, batch, hamiltonian=None, measurement=MeasurementConfig()):
-    """(actions, masks, rewards) of `batch` independent rollouts."""
-    trajs = [sample_trajectory(net, mdp, rng, hamiltonian, measurement) for _ in range(batch)]
-    return (
-        np.stack([t.actions for t in trajs]),
-        np.stack([t.masks for t in trajs]),
-        np.array([t.reward for t in trajs]),
-    )
+    """(actions, masks, rewards) of a `batch`-row rollout; every reward is 1
+    when no Hamiltonian is given."""
+    rollout, _ = _sample_batch(net, mdp, batch, rng)
+    rewards = np.ones(batch)
+    if hamiltonian is not None:
+        _, rewards, _ = _terminal_metrics(hamiltonian, mdp.color_cap, rollout.assignments, measurement)
+    return rollout.actions, rollout.masks, rewards
+
+
+def mask_after(mdp, prefix):
+    """The batch mask one trajectory meets after taking the colors `prefix`
+    (0-based) at its first len(prefix) steps, which its masks must allow."""
+    rollout = forced_rollout(mdp, np.array([prefix], dtype=np.int64))
+    assert not rollout.dead.any()
+    return rollout.step_masks(len(prefix))[0]
 
 
 def feasibility_drops(mdp, actions, masks):
@@ -110,68 +123,79 @@ class TestMDPAndMasks:
 
     def test_first_vertex_only_fresh_color(self):
         mdp = ColoringMDP(random_graph(6, 0.5, 1), 4)
-        mask = legal_actions(mdp.initial_state())
+        mask = mask_after(mdp, [])
         assert mask[0] and not mask[1:].any()
 
     def test_edgeless_second_vertex_two_choices(self):
         mdp = ColoringMDP(graph_from_edges(3, []), 3)
-        state = mdp.initial_state().child(0)
-        assert list(legal_actions(state)) == [True, True, False]
+        assert list(mask_after(mdp, [0])) == [True, True, False]
 
     def test_neighbors_block_colors(self):
         # path 0-1-2 with cap 3: vertex order 1,0,2
         mdp = ColoringMDP(graph_from_edges(3, [(0, 1), (1, 2)]), 3)
-        state = mdp.initial_state().child(0)  # vertex 1 -> color 1
-        mask = legal_actions(state)  # vertex 0, adjacent to 1
+        mask = mask_after(mdp, [0])  # vertex 1 -> color 1; now vertex 0, adjacent to 1
         assert list(mask) == [False, True, False]
-
-    def test_terminal_raises(self):
-        mdp = ColoringMDP(graph_from_edges(1, []), 1)
-        terminal = mdp.initial_state().child(0)
-        assert terminal.is_terminal()
-        with pytest.raises(NoActionError):
-            legal_actions(terminal)
 
     def test_doom_avoidance_on_tight_cap(self):
         # complete bipartite {0,1}x{2,3} conflictless within sides, cap 2:
         # giving the second left vertex a second color would strand the right side
         g = graph_from_edges(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
         mdp = ColoringMDP(g, 2)
-        s1 = mdp.initial_state().child(0)
-        mask = legal_actions(s1)  # second vertex, same side
+        mask = mask_after(mdp, [0])  # second vertex, same side
         assert mask[0] and not mask[1]
 
     def test_masks_never_empty_on_bundled_h2(self):
+        """Every state reached by taking one of the first two legal colors at
+        each step has a legal color, level by level through one rollout each."""
         h = load_hamiltonian(bundled_path("h2_sto3g_1A_jw.ham"))
         for mode in ("fc", "qwc"):
             g = build_complement_graph(h, mode)
             cap = greedy_color(g, "random_sequential", seed=0).max_color
             mdp = ColoringMDP(g, cap)
-
-            def walk(state, depth):
-                if state.is_terminal():
-                    return
-                mask = legal_actions(state)
-                assert mask.any()
-                for action in np.flatnonzero(mask)[:2]:
-                    walk(state.child(int(action)), depth + 1)
-
-            walk(mdp.initial_state(), 0)
+            prefixes = np.zeros((1, 0), dtype=np.int64)
+            for k in range(mdp.n_vertices):
+                rollout = forced_rollout(mdp, prefixes)
+                assert not rollout.dead.any()
+                masks = rollout.step_masks(k)
+                assert masks.any(axis=1).all()
+                prefixes = np.array(
+                    [[*row, a] for row, mask in zip(prefixes, masks) for a in np.flatnonzero(mask)[:2]],
+                    dtype=np.int64,
+                )
 
     def test_reachable_states_always_proper(self):
         for seed in range(10):
             g = random_graph(5, 0.5, seed)
             cap = greedy_color(g, "random_sequential", seed=seed).max_color
             mdp = ColoringMDP(g, cap)
-            for assignment in enumerate_terminal_assignments(mdp):
+            terminals = enumerate_terminals(mdp)
+            assert len(terminals) > 0
+            for assignment in terminals:
                 same = assignment[:, None] == assignment[None, :]
                 assert not np.any(same & g.adjacency)
 
+    def test_batch_enumeration_matches_scalar_dfs(self):
+        """Forcing every action row through the batch mask keeps the terminal
+        set that a DFS over the scalar legal_actions reaches, dead ends
+        included."""
+        dead_ends = 0
+        for seed in range(12):
+            g = random_graph(8, 0.5, seed)
+            mdp = ColoringMDP(g, greedy_color(g, "random_sequential", seed=seed).max_color)
+            batch = {a.tobytes() for a in enumerate_terminals(mdp)}
+            scalar, dead = terminal_assignments_dfs(mdp)
+            assert batch == {a.tobytes() for a in scalar}
+            assert len(scalar) == len(batch) > 0
+            dead_ends += dead
+        assert dead_ends > 0
+
 
 class TestEncoding:
+    """The dense encoding the sparse input layer is pinned to (TestSparseInputFastPath)."""
+
     def test_initial_encoding(self):
         mdp = ColoringMDP(graph_from_edges(3, [(0, 1)]), 2)
-        enc = encode_state(mdp.initial_state())
+        enc = encode_state(mdp, np.zeros(3, dtype=np.int64), 0)
         assert enc.shape == (mdp.encoding_dim,)
         # every vertex in the "uncolored" slot
         for v in range(3):
@@ -181,8 +205,7 @@ class TestEncoding:
 
     def test_terminal_encoding_has_no_uncolored_or_cursor(self):
         mdp = ColoringMDP(graph_from_edges(2, [(0, 1)]), 2)
-        state = mdp.initial_state().child(0).child(1)
-        enc = encode_state(state)
+        enc = encode_state(mdp, trajectory_states(mdp, [0, 1])[-1], 2)
         n, cap = 2, 2
         for v in range(n):
             assert enc[v * (cap + 1)] == 0.0
@@ -194,59 +217,66 @@ class TestEncoding:
         mdp = ColoringMDP(g, cap)
         seen = {}
 
-        def walk(state):
-            key = encode_state(state).tobytes()
-            ident = (state.assignment.tobytes(), state.cursor)
+        def walk(assignment, cursor):
+            key = encode_state(mdp, assignment, cursor).tobytes()
+            ident = (assignment.tobytes(), cursor)
             if key in seen:
                 assert seen[key] == ident, "two distinct states share an encoding"
             seen[key] = ident
-            if state.is_terminal():
+            if cursor == mdp.n_vertices:
                 return
-            for action in np.flatnonzero(legal_actions(state)):
-                walk(state.child(int(action)))
+            for action in np.flatnonzero(legal_actions(mdp, assignment, cursor)):
+                child = assignment.copy()
+                child[mdp.vertex_order[cursor]] = action + 1
+                walk(child, cursor + 1)
 
-        walk(mdp.initial_state())
+        walk(np.zeros(4, dtype=np.int64), 0)
         assert len(seen) > 4
 
 
 class TestForwardPolicy:
+    """The rollout draws each step's color from the softmax of the log-flows
+    over the legal colors."""
+
     def test_single_allowed_action_probability_one(self):
         mdp = ColoringMDP(graph_from_edges(2, [(0, 1)]), 2)
         net = DenseNet.initialize([mdp.encoding_dim, 8, 2], seed=0)
-        probs = forward_policy(net, mdp.initial_state())
-        assert probs[0] == pytest.approx(1.0) and probs[1] == 0.0
+        rollout, _ = _sample_batch(net, mdp, 50, np.random.Generator(np.random.PCG64(0)))
+        assert (rollout.actions == [0, 1]).all()
 
     def test_zero_net_uniform_over_allowed(self):
         mdp = ColoringMDP(graph_from_edges(3, []), 3)
         net = DenseNet(
             [np.zeros((mdp.encoding_dim, 3))], [np.zeros(3)]
         )
-        state = mdp.initial_state().child(0)
-        probs = forward_policy(net, state)
-        assert probs[0] == pytest.approx(0.5) and probs[1] == pytest.approx(0.5)
+        rollout, _ = _sample_batch(net, mdp, 4000, np.random.Generator(np.random.PCG64(0)))
+        second = rollout.actions[:, 1]  # colors 1 and 2 are legal
+        assert not (second == 2).any()
+        assert np.mean(second == 0) == pytest.approx(0.5, abs=0.03)
 
     def test_shift_invariance(self):
         mdp = ColoringMDP(graph_from_edges(3, []), 3)
-        state = mdp.initial_state().child(0)
         net = DenseNet.initialize([mdp.encoding_dim, 6, 3], seed=2)
-        p1 = forward_policy(net, state)
+        a, _ = _sample_batch(net, mdp, 200, np.random.Generator(np.random.PCG64(2)))
         net.biases[-1] += 7.3  # constant shift of all log-flows
-        p2 = forward_policy(net, state)
-        assert np.allclose(p1, p2)
+        b, _ = _sample_batch(net, mdp, 200, np.random.Generator(np.random.PCG64(2)))
+        assert np.array_equal(a.actions, b.actions)
 
     def test_sums_to_one(self):
-        for seed in range(5):
-            g = random_graph(6, 0.4, seed)
-            cap = greedy_color(g, "random_sequential", seed=seed).max_color
-            mdp = ColoringMDP(g, cap)
-            net = DenseNet.initialize([mdp.encoding_dim, 8, cap], seed=seed)
-            state = mdp.initial_state()
-            rng = np.random.Generator(np.random.PCG64(seed))
-            while not state.is_terminal():
-                probs = forward_policy(net, state)
-                assert probs.sum() == pytest.approx(1.0, abs=1e-12)
-                assert np.all(probs[~legal_actions(state)] == 0.0)
-                state = state.child(int(rng.choice(cap, p=probs)))
+        """Second-step color frequencies match the masked softmax of the dense
+        network's log-flows, a distribution over the legal colors."""
+        mdp = ColoringMDP(graph_from_edges(4, []), 3)
+        net = DenseNet.initialize([mdp.encoding_dim, 8, 3], seed=5)
+        rollout, _ = _sample_batch(net, mdp, 20000, np.random.Generator(np.random.PCG64(5)))
+        state = trajectory_states(mdp, [0])[-1]  # the first vertex always takes color 1
+        mask = legal_actions(mdp, state, 1)
+        logits = net.forward(encode_state(mdp, state, 1))
+        probs = np.where(mask, np.exp(logits - logits[mask].max()), 0.0)
+        probs /= probs.sum()
+        assert probs.sum() == pytest.approx(1.0, abs=1e-12)
+        freq = np.bincount(rollout.actions[:, 1], minlength=3) / 20000
+        assert np.all(freq[~mask] == 0.0)
+        assert np.allclose(freq, probs, atol=0.02)
 
 
 class TestSampling:
@@ -256,9 +286,10 @@ class TestSampling:
         mdp = ColoringMDP(g, 1)
         net = DenseNet.initialize([mdp.encoding_dim, 4, 1], seed=0)
         rng = np.random.Generator(np.random.PCG64(0))
-        traj = sample_trajectory(net, mdp, rng, hamiltonian=h)
-        assert list(traj.coloring.assignment) == [1]
-        assert traj.reward > 0
+        rollout, _ = _sample_batch(net, mdp, 1, rng)
+        _, rewards, _ = _terminal_metrics(h, 1, rollout.assignments, MeasurementConfig())
+        assert list(rollout.assignments[0]) == [1]
+        assert rewards[0] > 0
 
     def test_sampled_colorings_always_valid(self):
         for seed in range(6):
@@ -267,10 +298,11 @@ class TestSampling:
             mdp = ColoringMDP(g, cap)
             net = DenseNet.initialize([mdp.encoding_dim, 8, cap], seed=seed)
             rng = np.random.Generator(np.random.PCG64(seed))
-            for _ in range(25):
-                traj = sample_trajectory(net, mdp, rng)
-                assert validate_coloring(g, traj.coloring)
-                assert traj.coloring.max_color <= cap
+            rollout, _ = _sample_batch(net, mdp, 25, rng)
+            for row in rollout.assignments:
+                coloring = Coloring(row)
+                assert validate_coloring(g, coloring)
+                assert coloring.max_color <= cap
 
     def test_batch_masks_match_scalar_legal_actions(self):
         """The lockstep sampler must agree with the reference state machinery
@@ -284,12 +316,10 @@ class TestSampling:
             rng = np.random.Generator(np.random.PCG64(seed + 99))
             rollout, _ = _sample_batch(net, mdp, 32, rng)
             for b in range(32):
-                state = mdp.initial_state()
+                states = trajectory_states(mdp, rollout.actions[b])
                 for k in range(mdp.n_vertices):
-                    assert np.array_equal(rollout.masks[b, k], legal_actions(state))
-                    state = state.child(int(rollout.actions[b, k]))
-                assert state.is_terminal()
-                assert np.array_equal(state.assignment, rollout.assignments[b])
+                    assert np.array_equal(rollout.masks[b, k], legal_actions(mdp, states[k], k))
+                assert np.array_equal(states[-1], rollout.assignments[b])
             drops += int(feasibility_drops(mdp, rollout.actions, rollout.masks).sum())
         assert drops > 0
 
@@ -303,35 +333,36 @@ class TestSparseInputFastPath:
         mdp = ColoringMDP(g, cap)
         net = DenseNet.initialize([mdp.encoding_dim, 10, 7, cap], seed=seed)
         rng = np.random.Generator(np.random.PCG64(seed))
-        traj = sample_trajectory(net, mdp, rng)
-        states = traj.states()[:-1]
-        enc = np.stack([encode_state(s) for s in states])
-        return mdp, net, traj, enc
+        rollout, _ = _sample_batch(net, mdp, 1, rng)
+        actions, masks = rollout.actions[0], rollout.masks[0]
+        states = trajectory_states(mdp, actions)[:-1]
+        enc = np.stack([encode_state(mdp, a, k) for k, a in enumerate(states)])
+        return mdp, net, actions, masks, enc
 
     @pytest.mark.parametrize("seed", range(5))
     def test_l1_pre_matches_dense(self, seed):
-        mdp, net, traj, enc = self.trajectory_and_encodings(seed)
-        steps = _l1_step(net, mdp, np.arange(traj.n_steps - 1), traj.actions[None, :-1] + 1)
+        mdp, net, actions, _, enc = self.trajectory_and_encodings(seed)
+        steps = _l1_step(net, mdp, np.arange(actions.size - 1), actions[None, :-1] + 1)
         fast = np.cumsum(np.vstack([_l1_start(net, mdp), steps[0]]), axis=0)
         dense = enc @ net.weights[0] + net.biases[0]
         assert np.allclose(fast, dense, atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_l1_grads_match_dense(self, seed):
-        mdp, net, traj, enc = self.trajectory_and_encodings(seed)
+        mdp, net, actions, masks, _ = self.trajectory_and_encodings(seed)
         rewards = np.array([0.5 + seed])
-        _, grads = loss_of(net, mdp, traj.actions[None], traj.masks[None], rewards)
-        _, dense = flow_matching_loss_dense(net, mdp, traj.actions[None], rewards)
+        _, grads = loss_of(net, mdp, actions[None], masks[None], rewards)
+        _, dense = flow_matching_loss_dense(net, mdp, actions[None], rewards)
         assert np.allclose(grads[0], dense[0], atol=1e-12)
         assert np.allclose(grads[1], dense[1], atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_rollout_logits_match_dense_forward(self, seed):
-        mdp, net, traj, enc = self.trajectory_and_encodings(seed)
+        mdp, net, actions, masks, enc = self.trajectory_and_encodings(seed)
         rollout = _BatchRollout(net, mdp, 1)
-        for k in range(traj.n_steps):
+        for k in range(actions.size):
             assert np.allclose(rollout.logits(k)[0], net.forward(enc[k]), atol=1e-10)
-            rollout.apply(k, traj.actions[k : k + 1], traj.masks[k][None])
+            rollout.apply(k, actions[k : k + 1], masks[k][None])
 
     @pytest.mark.parametrize("n_vertices, p, seed", [(9, 0.5, 3), (10, 0.5, 1), (12, 0.4, 2)])
     def test_recorded_activations_match_dense_forward(self, n_vertices, p, seed):
@@ -344,10 +375,8 @@ class TestSparseInputFastPath:
         rollout, restarts = _sample_batch(net, mdp, 6, rng, record=True)
         assert restarts > 0  # the cap is tight enough to exercise take_rows
         for b in range(6):
-            states = [mdp.initial_state()]
-            for action in rollout.actions[b, :-1]:
-                states.append(states[-1].child(int(action)))
-            enc = np.stack([encode_state(s) for s in states])
+            states = trajectory_states(mdp, rollout.actions[b, :-1])
+            enc = np.stack([encode_state(mdp, a, k) for k, a in enumerate(states)])
             assert np.allclose(rollout.log_flows[b], net.forward(enc), rtol=0, atol=1e-10)
             _, dense_hidden = net.forward_from_pre(enc @ net.weights[0] + net.biases[0])
             for kept, dense in zip(rollout.hidden, dense_hidden, strict=True):
@@ -402,9 +431,8 @@ class TestFlowMatchingLoss:
         r_b = (2 - 2) + 1.0 / m_b
 
         # linear net reproducing the exact log-flows on the two decision states
-        s0 = mdp.initial_state()
-        s1 = s0.child(0)
-        e0, e1 = encode_state(s0), encode_state(s1)
+        s0, s1 = trajectory_states(mdp, [0])
+        e0, e1 = encode_state(mdp, s0, 0), encode_state(mdp, s1, 1)
         targets = np.array([[np.log(r_a + r_b), 0.0], [np.log(r_a), np.log(r_b)]])
         w, *_ = np.linalg.lstsq(np.stack([e0, e1]), targets, rcond=None)
         net = DenseNet([w], [np.zeros(2)])
@@ -508,25 +536,29 @@ def random_hamiltonian(rng, n_qubits=3):
 
 
 class TestTerminalMetrics:
-    """The sampler computes m_est and reward itself from an assignment row;
-    they must equal measurement.py's estimate_measurements and reward."""
+    """The sampler computes m_est and reward itself, for a batch of assignment
+    rows at once; m_est must equal measurement.py's estimate_measurements, and
+    every row must get the bits of the one-row arithmetic."""
 
-    def check(self, h, g, assignment, rng):
+    def check(self, h, g, assignments, rng):
         cfg = MeasurementConfig(epsilon=float(rng.uniform(1e-3, 0.1)), lambda0=float(rng.uniform(1.0, 1e6)))
-        coloring = Coloring(assignment)
-        cap = coloring.max_color + int(rng.integers(0, 3))
-        m_est, rew, colors = _terminal_metrics(h, cap, assignment, cfg)
-        grouping = coloring_to_grouping(g, coloring)
-        assert m_est == pytest.approx(estimate_measurements(h, grouping, cfg.epsilon), rel=1e-12, abs=0)
-        assert rew == pytest.approx(reward(h, g, coloring, cfg), rel=1e-12, abs=0)
-        assert colors == coloring.max_color
+        cap = int(assignments.max()) + int(rng.integers(0, 3))
+        m_est, rew, colors = _terminal_metrics(h, cap, assignments, cfg)
+        for b, assignment in enumerate(assignments):
+            coloring = Coloring(assignment)
+            want = estimate_measurements(h, coloring_to_grouping(g, coloring), cfg.epsilon)
+            assert m_est[b] == pytest.approx(want, rel=1e-12, abs=0)
+            assert rew[b] == pytest.approx((h.n_terms - coloring.max_color) + cfg.lambda0 / want, rel=1e-12, abs=0)
+            assert colors[b] == coloring.max_color
+            assert (m_est[b], rew[b], colors[b]) == terminal_metrics_row(h, cap, assignment, cfg)
 
     def test_random_hamiltonians(self):
         rng = np.random.Generator(np.random.PCG64(404))
         for trial in range(200):
             h = random_hamiltonian(rng)
             g = build_complement_graph(h, ("fc", "qwc")[trial % 2])
-            self.check(h, g, random_proper_assignment(g, rng), rng)
+            rows = [random_proper_assignment(g, rng) for _ in range(int(rng.integers(1, 6)))]
+            self.check(h, g, np.stack(rows), rng)
 
     @pytest.mark.parametrize("name", ["h2_sto3g_1A_jw.ham", "h4_chain_sto3g_1A_jw.ham"])
     @pytest.mark.parametrize("mode", ["fc", "qwc"])
@@ -534,8 +566,22 @@ class TestTerminalMetrics:
         h = load_hamiltonian(bundled_path(name))
         g = build_complement_graph(h, mode)
         rng = np.random.Generator(np.random.PCG64(5))
-        for _ in range(20):
-            self.check(h, g, random_proper_assignment(g, rng), rng)
+        self.check(h, g, np.stack([random_proper_assignment(g, rng) for _ in range(20)]), rng)
+
+    def test_every_color_count_keeps_row_bits(self):
+        """Rows of every color count from 1 to 60 in one batch, the pairwise
+        sum's block widths included, give the one-row m_est bit for bit."""
+        h = load_hamiltonian(bundled_path("h4_chain_sto3g_1A_jw.ham"))
+        rng = np.random.Generator(np.random.PCG64(6))
+        rows = []
+        for c in np.repeat(np.arange(1, 61), 40):
+            row = np.concatenate([np.arange(1, c + 1), rng.integers(1, c + 1, size=h.n_terms - c)])
+            rows.append(rng.permutation(row))
+        assignments = np.stack(rows)
+        cfg = MeasurementConfig()
+        m_est, rew, colors = _terminal_metrics(h, 62, assignments, cfg)
+        for b, row in enumerate(assignments):
+            assert (m_est[b], rew[b], colors[b]) == terminal_metrics_row(h, 62, row, cfg)
 
 
 class TestTraining:

@@ -77,6 +77,15 @@ def test_error_line_number():
         loads_hamiltonian("# c\nqubits: 2\n0.5 Z0\n0.5 Q1\n")
 
 
+def test_terms_parse_as_pauli_words():
+    """Terms go through PauliWord.from_text, so a dense word of the declared
+    width reads as its sparse form, and its errors carry the line number."""
+    h = loads_hamiltonian("qubits: 3\n0.5 XIZ\n0.25 Y1\n")
+    assert h.terms[0] == (0.5, PauliWord.from_text("X0 Z2", 3))
+    with pytest.raises(HamiltonianParseError, match="line 3"):
+        loads_hamiltonian("qubits: 3\n0.5 Z0\n0.25 XY\n")
+
+
 words3 = st.text(alphabet="IXYZ", min_size=3, max_size=3).filter(lambda t: t != "III")
 
 

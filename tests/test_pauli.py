@@ -56,6 +56,8 @@ class TestPauliWord:
             w("X0 X0", 2)
         with pytest.raises(PauliFormatError):
             w("X5", 2)
+        with pytest.raises(PauliFormatError, match="ascending"):
+            w("Z1 X0", 2)  # to_sparse writes indices in ascending order only
         with pytest.raises(PauliFormatError):
             w("X0")  # sparse without n_qubits
         with pytest.raises(PauliFormatError):
