@@ -2,8 +2,9 @@
 
 Reports are JSON documents (schema_version 1). With --deterministic the
 timestamp is omitted and wall times are zeroed so identical invocations
-produce byte-identical bytes. Exit codes: 0 success, 2 bad input or flags,
-3 numeric training failure, 4 invalid coloring for export-graph.
+produce byte-identical bytes. Exit codes: 0 success, 2 bad input, flags or
+output path (a missing output directory is caught before any work), 3
+numeric training failure, 4 invalid coloring for export-graph.
 """
 from __future__ import annotations
 
@@ -98,6 +99,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_output_dirs(*paths: str | None) -> None:
+    for path in paths:
+        if path and not Path(path).parent.is_dir():
+            raise CliInputError(f"cannot write {path}: no directory {Path(path).parent}")
+
+
 def _load_input(path: str):
     try:
         return load_hamiltonian(path)
@@ -152,6 +159,7 @@ def _run_method(h, graph, method: str, args, config: TrainConfig) -> dict:
 
 
 def _build_report(args, methods: list[str]) -> dict:
+    _check_output_dirs(args.out, args.checkpoint, args.train_log)
     try:  # validates --epsilon and the sampler flags whatever the methods
         config = TrainConfig(
             iterations=args.iterations,
@@ -240,6 +248,7 @@ def cmd_histogram(args) -> int:
         raise CliInputError("--samples must be >= 1")
     if args.bin_width is not None and not 0 < args.bin_width < float("inf"):
         raise CliInputError(f"--bin-width must be a positive, finite number, got {args.bin_width}")
+    _check_output_dirs(args.out)
     try:
         sampler = TrainedSampler.load(args.checkpoint)
     except FileNotFoundError as err:
@@ -265,6 +274,7 @@ def cmd_histogram(args) -> int:
 
 
 def cmd_export_graph(args) -> int:
+    _check_output_dirs(args.out)
     h = _load_input(args.input)
     if h.n_terms == 0:
         raise CliInputError(f"{args.input}: no groupable terms")
@@ -306,7 +316,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except CliInputError as err:
+    except (CliInputError, OSError) as err:  # OSError: a named file cannot be read or written
         print(f"error: {err}", file=sys.stderr)
         return 2
     except NumericError as err:

@@ -20,13 +20,16 @@ Actions are colors 1..color_cap. The action mask enforces, in order:
   - one-step feasibility: a candidate is dropped if assigning it would
     leave some uncolored neighbor with every color blocked.
 
-The cap can make a partial coloring a dead end despite the feasibility
-check (several mutually blocking uncolored vertices); the sampler then
-restarts that trajectory and counts the restart. The bundled H4 system does
-trigger this: FC at seed 0 with the default cap gives up at iteration 0
-after 1616 restarts; widening the cap (mask_extra_colors, `--mask-extra`)
-is the workaround. Each training iteration runs the network forward once:
-the training rollout records every state's log-flows and hidden activations,
+A mask is never empty, so no trajectory dead-ends. When these rules leave a
+vertex no color, the mask allows one forced action instead: the first color
+none of its colored neighbors holds. If that color is above the cap, the
+forced action is the top slot (color_cap) and the vertex takes the first
+color above the cap that its neighbors leave free; the network sees it as
+color color_cap. A forced color is proper and canonical, and each state
+still has one parent, so the state space stays a tree. The cap is therefore
+a soft limit: rows exceed it only where every lower color is held by a
+neighbor. Each training iteration runs the network forward once: the
+training rollout records every state's log-flows and hidden activations,
 and the flow-matching loss reuses them and runs only the backward pass.
 """
 from __future__ import annotations
@@ -51,7 +54,9 @@ from .pauli import QubitHamiltonian
 
 
 class ColoringMDP:
-    """Fixed-order coloring MDP over a conflict graph with a color cap."""
+    """Fixed-order coloring MDP over a conflict graph with a soft color cap:
+    color_cap sets the network's action and encoding width, and a vertex
+    goes above it only when every color up to it is held by a neighbor."""
 
     def __init__(self, graph: CompatGraph, color_cap: int):
         if color_cap < 1:
@@ -128,8 +133,9 @@ def flow_matching_loss(
 ) -> tuple[float, list[np.ndarray]]:
     """Mean flow-matching loss of a rollout batch and its parameter grads.
 
-    actions (B, n) and masks (B, n, cap) are the colors taken and the legal
-    colors at each step; rewards (B,) are the terminal rewards. log_flows
+    actions (B, n) and masks (B, n, cap) are the action slots taken and the
+    legal action slots at each step (a forced color above the cap takes the
+    top slot); rewards (B,) are the terminal rewards. log_flows
     (B, n, cap) and hidden (one (B, n, h_k) array per hidden layer) are the
     network's outputs and tanh activations at states s_0 .. s_{n-1}, as the
     training rollout recorded them, so only the backward pass runs here. A
@@ -191,13 +197,14 @@ class _BatchRollout:
     builds a (cap, h1) table of the per-color changes and adds the taken
     color's row to every row.
 
-    blocked (n, B, cap) marks the colors each vertex's colored neighbors
-    hold, vertex-major so that one neighbor's rows are contiguous, and
-    blocked_counts (n, B) counts them. The counts exist only for the
+    blocked (n, B, cap) marks the colors up to the cap that each vertex's
+    colored neighbors hold, vertex-major so that one neighbor's rows are
+    contiguous, and blocked_counts (n, B) counts them. The counts serve the
     one-step feasibility check: it reads a full blocked row only where a
     later neighbor has one color left. Besides the network's forward pass, a
-    step costs a few (n_later, B) gathers and one (B, h1) add. Rows that die
-    keep being updated; _sample_batch discards them.
+    step costs a few (n_later, B) gathers and one (B, h1) add. assignments
+    holds the colors taken, forced colors above the cap included; actions
+    holds the action slots.
 
     With record=True, each step's log-flows and hidden activations are kept
     for the loss (B * n_vertices rows per layer, so sampling does not record).
@@ -213,7 +220,6 @@ class _BatchRollout:
         self.max_colors = np.zeros(batch, dtype=np.int64)
         self.actions = np.zeros((batch, n), dtype=np.int64)
         self.masks = np.zeros((batch, n, cap), dtype=bool)
-        self.dead = np.zeros(batch, dtype=bool)
         self.l1_pre = np.tile(_l1_start(net, mdp), (batch, 1))
         self.log_flows: np.ndarray | None = None
         self.hidden: list[np.ndarray] = []
@@ -232,6 +238,11 @@ class _BatchRollout:
         later = mdp.later_neighbors[k]
         nbrs, rows = np.nonzero(self.blocked_counts[later] == cap - 1)
         mask[rows, np.argmin(self.blocked[later[nbrs], rows], axis=1)] = False
+        # a row left without a color takes its first free one, or the top slot
+        forced = np.flatnonzero(~mask.any(axis=1))
+        if forced.size:
+            free = ~self.blocked[v, forced]
+            mask[forced, np.where(free.any(axis=1), free.argmax(axis=1), cap - 1)] = True
         return mask
 
     def logits(self, k: int) -> np.ndarray:
@@ -248,72 +259,48 @@ class _BatchRollout:
         cap = mdp.color_cap
         v = int(mdp.vertex_order[k])
         rows = np.arange(actions.shape[0])
-        self.dead |= ~mask[rows, actions]
         self.actions[:, k] = actions
         self.masks[:, k, :] = mask
         colors = actions + 1
+        # only a forced top slot takes a color that a neighbor holds
+        over = np.flatnonzero(self.blocked[v, rows, actions])
         self.assignments[:, v] = colors
         np.maximum(self.max_colors, colors, out=self.max_colors)
         later = mdp.later_neighbors[k]
-        self.blocked_counts[later] += ~self.blocked[later[:, None], rows, actions]
+        marked = ~self.blocked[later[:, None], rows, actions]
+        self.blocked_counts[later] += marked
         self.blocked[later[:, None], rows, actions] = True
+        if over.size:
+            # those rows take the first color above the cap that no earlier
+            # neighbor holds; it blocks nothing up to the cap, so undo its marks
+            held = self.assignments[over[:, None], mdp.earlier_neighbors[k]]
+            above = cap + 1 + np.arange(held.shape[1] + 1)
+            taken = (held[:, :, None] == above).any(axis=1)
+            self.assignments[over, v] = above[np.argmin(taken, axis=1)]
+            self.blocked_counts[later[:, None], over] -= marked[:, over]
+            self.blocked[later[:, None], over, cap - 1] = ~marked[:, over]
         if k + 1 < mdp.n_vertices:
             self.l1_pre += _l1_step(self.net, mdp, k, np.arange(1, cap + 1))[actions]
-
-    def take_rows(self, dst: np.ndarray, other: "_BatchRollout", src: np.ndarray) -> None:
-        """Overwrite rows dst with rows src of another rollout of the same net."""
-        mine = [self.assignments, self.actions, self.masks, self.max_colors, *self.hidden]
-        theirs = [other.assignments, other.actions, other.masks, other.max_colors, *other.hidden]
-        if self.log_flows is not None:
-            mine.append(self.log_flows)
-            theirs.append(other.log_flows)
-        for to, frm in zip(mine, theirs):
-            to[dst] = frm[src]
-        self.dead[dst] = False
 
 
 def _sample_batch(
     net: DenseNet, mdp: ColoringMDP, batch: int, rng: np.random.Generator, record: bool = False
 ) -> tuple[_BatchRollout, int]:
-    """Roll a full lockstep batch; re-rolls dead trajectories. Returns the
-    rollout and the number of dead-end restarts. With record=True the
-    rollout keeps every state's log-flows and hidden activations."""
-    restarts = 0
-    rollout = _roll_once(net, mdp, batch, rng, record)
-    while rollout.dead.any():
-        n_dead = int(rollout.dead.sum())
-        restarts += n_dead
-        if restarts > 100 * batch:
-            raise NumericError(
-                f"too many dead-end restarts ({restarts}); color cap {mdp.color_cap} "
-                "is too tight for this graph, raise mask_extra_colors"
-            )
-        fresh = _roll_once(net, mdp, n_dead, rng, record)
-        keep = np.flatnonzero(~fresh.dead)
-        rollout.take_rows(np.flatnonzero(rollout.dead)[: keep.size], fresh, keep)
-    return rollout, restarts
-
-
-def _roll_once(
-    net: DenseNet, mdp: ColoringMDP, batch: int, rng: np.random.Generator, record: bool
-) -> _BatchRollout:
+    """Roll a full lockstep batch, drawing each step's action from the
+    softmax of the log-flows over the legal slots. Returns the rollout and 0,
+    the number of restarts: no mask is empty, so no trajectory is re-rolled
+    (perfbench reads the count). With record=True the rollout keeps every
+    state's log-flows and hidden activations."""
     rollout = _BatchRollout(net, mdp, batch, record)
     for k in range(mdp.n_vertices):
         mask = rollout.step_masks(k)
         logits = rollout.logits(k)
         probs = np.where(mask, np.exp(logits - logits.max(axis=1, keepdims=True)), 0.0)
-        totals = probs.sum(axis=1)
-        stuck = totals <= 0
-        if stuck.any():
-            # keep the lockstep shape; stuck rows take a dummy action and are
-            # flagged dead inside apply()
-            probs[stuck, 0] = 1.0
-            totals[stuck] = 1.0
         cdf = np.cumsum(probs, axis=1)
-        draws = rng.random(batch) * totals
+        draws = rng.random(batch) * probs.sum(axis=1)
         actions = (cdf < draws[:, None]).sum(axis=1)
         rollout.apply(k, actions.astype(np.int64), mask)
-    return rollout
+    return rollout, 0
 
 
 @dataclass
@@ -375,7 +362,6 @@ class TrainedSampler:
         self.adam = adam
         self.log: list[IterationLog] = []
         self.discovered: dict[bytes, DiscoveredGrouping] = {}
-        self.dead_end_restarts = 0
         self._best: DiscoveredGrouping | None = None
         self._best_reward = -np.inf
 
@@ -392,7 +378,7 @@ class TrainedSampler:
 
     def _record(self, rollout: _BatchRollout, iteration: int) -> np.ndarray:
         m_est, rewards, colors = _terminal_metrics(
-            self.hamiltonian, self.mdp.color_cap, rollout.assignments, self.config.measurement
+            self.hamiltonian, rollout.assignments, self.config.measurement
         )
         rows = zip(rollout.assignments, m_est.tolist(), rewards.tolist(), colors.tolist())
         for row, m, rew, c in rows:
@@ -411,10 +397,9 @@ class TrainedSampler:
             raise ValueError("need at least one sample")
         if not isinstance(rng, np.random.Generator):
             rng = np.random.Generator(np.random.PCG64(rng))
-        rollout, restarts = _sample_batch(self.net, self.mdp, n, rng)
-        self.dead_end_restarts += restarts
+        rollout, _ = _sample_batch(self.net, self.mdp, n, rng)
         m_est, rewards, _ = _terminal_metrics(
-            self.hamiltonian, self.mdp.color_cap, rollout.assignments, self.config.measurement
+            self.hamiltonian, rollout.assignments, self.config.measurement
         )
         return [
             (Coloring(row.copy()), m, rew)
@@ -478,7 +463,7 @@ class TrainedSampler:
         best = metadata.get("best_assignment")
         if best is not None:
             row = np.asarray(best, dtype=np.int64)
-            m_est, rew, colors = _terminal_metrics(h, color_cap, row[None], config.measurement)
+            m_est, rew, colors = _terminal_metrics(h, row[None], config.measurement)
             found = DiscoveredGrouping(row, int(colors[0]), float(m_est[0]), float(rew[0]), -1)
             sampler.discovered[row.tobytes()] = found
             sampler._best = found
@@ -487,7 +472,7 @@ class TrainedSampler:
 
 
 def _terminal_metrics(
-    h: QubitHamiltonian, color_cap: int, assignments: np.ndarray, cfg: MeasurementConfig
+    h: QubitHamiltonian, assignments: np.ndarray, cfg: MeasurementConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(m_est, reward, color_count), each (B,), of complete rows (B, n) whose
     colors run 1..color_count: m_est is estimate_measurements' bound and the
@@ -498,12 +483,13 @@ def _terminal_metrics(
     first color_count entries (zero padding would regroup numpy's pairwise
     sum), and float_power squares with libm's pow, as scalar ** does.
     """
-    batch, width = assignments.shape[0], color_cap + 1
+    batch = assignments.shape[0]
+    colors = assignments.max(axis=1, initial=0)
+    width = int(colors.max(initial=0)) + 1
     slots = assignments + width * np.arange(batch)[:, None]
     weights = np.broadcast_to(h.coefficients() ** 2, assignments.shape).ravel()
     per_color = np.bincount(slots.ravel(), weights=weights, minlength=batch * width)
     per_color = per_color.reshape(batch, width)[:, 1:]
-    colors = assignments.max(axis=1, initial=0)
     roots = np.empty(batch)
     for c in set(colors.tolist()):
         rows = colors == c
@@ -515,8 +501,8 @@ def _terminal_metrics(
 def train(h: QubitHamiltonian, config: TrainConfig | None = None) -> TrainedSampler:
     """Flow-matching training loop; returns the sampler with per-iteration log.
 
-    The color cap is the random-sequential greedy color count (same seed)
-    plus config.mask_extra_colors. Each iteration samples a batch, recording
+    The (soft) color cap is the random-sequential greedy color count (same
+    seed) plus config.mask_extra_colors. Each iteration samples a batch, recording
     the network's activations, takes the batch-mean flow-matching loss and
     its gradient from them, and feeds that gradient to Adam, which updates
     parameters every accumulation_period iterations.
@@ -541,8 +527,7 @@ def train(h: QubitHamiltonian, config: TrainConfig | None = None) -> TrainedSamp
 
     for iteration in range(config.iterations):
         try:
-            rollout, restarts = _sample_batch(net, mdp, batch, rng, record=True)
-            sampler.dead_end_restarts += restarts
+            rollout, _ = _sample_batch(net, mdp, batch, rng, record=True)
             rewards = sampler._record(rollout, iteration)
             mean_loss, grads = flow_matching_loss(
                 net, mdp, rollout.actions, rollout.masks, rewards, rollout.log_flows, rollout.hidden

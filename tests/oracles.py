@@ -4,12 +4,13 @@ These deliberately avoid the package's symplectic code paths: words are
 handled as letter strings and checks go through explicit dense matrices.
 
 The coloring MDP here is this file's own, not the package's, which runs the
-MDP only as the lockstep batch rollout: legal_actions and encode_state take
-one state (mdp, assignment, cursor) and rebuild its mask and dense one-hot
-encoding from the definitions. The flow-matching oracle feeds those dense
-encodings to DenseNet.forward/backward one trajectory at a time.
-enumerate_terminals instead forces every action row through one batch
-rollout, so it enumerates the mask the sampler draws from.
+MDP only as the lockstep batch rollout: legal_actions, color_of and
+encode_state take one state (mdp, assignment, cursor) and rebuild its mask,
+the color an action gives, and its dense one-hot encoding from the
+definitions. The flow-matching oracle feeds those dense encodings to
+DenseNet.forward/backward one trajectory at a time. enumerate_terminals
+instead forces every action row through one batch rollout, so it enumerates
+the mask the sampler draws from.
 
 rollout_activations, adam_accumulate_and_step_reference,
 greedy_color_reference, sample_batch_reference and terminal_metrics_row keep
@@ -75,38 +76,61 @@ def estimate_measurements_oracle(coeffs, groups, epsilon: float) -> float:
     return float(total**2 / epsilon**2)
 
 
+def first_free(held, start=1):
+    """The smallest color >= start that is not in the set `held`."""
+    return next(c for c in itertools.count(start) if c not in held)
+
+
 def legal_actions(mdp, assignment, cursor):
     """Boolean mask over colors 1..color_cap for vertex order[cursor]:
     properness, canonical fresh colors, the cap, and one-step feasibility
-    (a later neighbor's only free color is dropped)."""
-    colors = np.arange(1, mdp.color_cap + 1)
+    (a later neighbor's only free color is dropped). Held colors above the
+    cap block nothing. If nothing is left, the one legal action is the
+    first color no earlier neighbor holds, or the top slot if that color
+    is above the cap."""
+    cap = mdp.color_cap
+    colors = np.arange(1, cap + 1)
+    held = assignment[mdp.earlier_neighbors[cursor]]
     mask = colors <= assignment.max(initial=0) + 1
-    mask[assignment[mdp.earlier_neighbors[cursor]] - 1] = False
+    mask[held[held <= cap] - 1] = False
     for u in mdp.later_neighbors[cursor]:
         free = np.setdiff1d(colors, assignment[mdp.graph.neighbors(int(u))])
         if free.size == 1:
             mask[free[0] - 1] = False
+    if not mask.any():
+        mask[min(first_free(set(held.tolist())), cap) - 1] = True
     return mask
 
 
+def color_of(mdp, assignment, cursor, action):
+    """The color vertex order[cursor] takes for an action slot: action + 1,
+    except that a top slot whose color an earlier neighbor holds gives the
+    first color above the cap that no earlier neighbor holds."""
+    held = set(assignment[mdp.earlier_neighbors[cursor]].tolist())
+    if action == mdp.color_cap - 1 and mdp.color_cap in held:
+        return first_free(held, mdp.color_cap + 1)
+    return action + 1
+
+
 def encode_state(mdp, assignment, cursor):
-    """Per-vertex one-hot over {uncolored, colors} followed by a one-hot of
-    the vertex being colored (all zero at the terminal state)."""
+    """Per-vertex one-hot over {uncolored, colors up to the cap} followed by
+    a one-hot of the vertex being colored (all zero at the terminal state);
+    a color above the cap is encoded as the cap."""
     n, cap = mdp.n_vertices, mdp.color_cap
     enc = np.zeros(mdp.encoding_dim)
-    enc[np.arange(n) * (cap + 1) + assignment] = 1.0
+    enc[np.arange(n) * (cap + 1) + np.minimum(assignment, cap)] = 1.0
     if cursor < n:
         enc[n * (cap + 1) + mdp.vertex_order[cursor]] = 1.0
     return enc
 
 
 def trajectory_states(mdp, actions):
-    """Assignments of the states s_0 .. s_len(actions) that coloring
-    order[k] with color actions[k] + 1 at each step k visits."""
+    """Assignments of the states s_0 .. s_len(actions) that taking action
+    slot actions[k] for vertex order[k] at each step k visits."""
     assignment = np.zeros(mdp.n_vertices, dtype=np.int64)
     states = [assignment.copy()]
     for k, action in enumerate(actions):
-        assignment[mdp.vertex_order[k]] = action + 1
+        assignment[mdp.vertex_order[k]] = color_of(mdp, assignment, k, action)
         states.append(assignment.copy())
     return states
 
@@ -122,7 +146,7 @@ def terminal_assignments_dfs(mdp, assignment=None, cursor=0):
     out, dead_ends = [], int(not mask.any())
     for action in np.flatnonzero(mask):
         child = assignment.copy()
-        child[mdp.vertex_order[cursor]] = action + 1
+        child[mdp.vertex_order[cursor]] = color_of(mdp, assignment, cursor, action)
         found, dead = terminal_assignments_dfs(mdp, child, cursor + 1)
         out += found
         dead_ends += dead
@@ -131,8 +155,8 @@ def terminal_assignments_dfs(mdp, assignment=None, cursor=0):
 
 def forced_rollout(mdp, actions):
     """A _BatchRollout driven through the first m steps by the (B, m) actions
-    given in place of draws. masks[:, k] holds each row's mask at step k, and
-    a row that takes a color its mask forbids is marked dead."""
+    given in place of draws. masks[:, k] holds each row's mask at step k;
+    legal_rows tells which rows took only actions their masks allow."""
     net = DenseNet.initialize([mdp.encoding_dim, mdp.n_actions], seed=0)
     rollout = gflownet._BatchRollout(net, mdp, actions.shape[0])
     for k in range(actions.shape[1]):
@@ -140,17 +164,26 @@ def forced_rollout(mdp, actions):
     return rollout
 
 
+def legal_rows(rollout, steps):
+    """(B,) True where a row's first `steps` actions are all allowed by the
+    masks the rollout recorded at those steps."""
+    batch = rollout.actions.shape[0]
+    b_idx, k_idx = np.ogrid[:batch, :steps]
+    return rollout.masks[b_idx, k_idx, rollout.actions[:, :steps]].all(axis=1)
+
+
 def enumerate_terminals(mdp):
     """(T, n) terminal assignments under the batch mask: all cap^n action
-    rows forced through one rollout, less the rows it marks dead."""
+    rows forced through one rollout, less the rows that take an illegal
+    action."""
     rows = itertools.product(range(mdp.color_cap), repeat=mdp.n_vertices)
     rollout = forced_rollout(mdp, np.array(list(rows), dtype=np.int64))
-    return rollout.assignments[~rollout.dead]
+    return rollout.assignments[legal_rows(rollout, mdp.n_vertices)]
 
 
-def terminal_metrics_row(h, color_cap, assignment, cfg):
+def terminal_metrics_row(h, assignment, cfg):
     """(m_est, reward, color_count) of one complete assignment row."""
-    per_color = np.bincount(assignment, weights=h.coefficients() ** 2, minlength=color_cap + 1)[1:]
+    per_color = np.bincount(assignment, weights=h.coefficients() ** 2)[1:]
     m_est = float(np.sum(np.sqrt(per_color[per_color > 0])) ** 2 / cfg.epsilon**2)
     colors = int(assignment.max(initial=0))
     return m_est, float(h.n_terms - colors) + cfg.lambda0 / m_est, colors
@@ -265,7 +298,8 @@ def greedy_color_reference(g, strategy: str, seed: int = 0) -> np.ndarray:
 
 class ReferenceRollout(gflownet._BatchRollout):
     """_BatchRollout with the feasibility check summing every later neighbor's
-    (B, cap) blocked row, and with state updates on live rows only."""
+    (B, cap) blocked row, forced colors found with Python sets, and layer-1
+    updates gathered per row."""
 
     def __init__(self, net, mdp, batch, record=False):
         super().__init__(net, mdp, batch, record)
@@ -281,28 +315,30 @@ class ReferenceRollout(gflownet._BatchRollout):
         blocked = self.blocked[:, mdp.later_neighbors[k], :]
         rows, nbrs = np.nonzero(blocked.sum(axis=2) == cap - 1)
         mask[rows, np.argmin(blocked[rows, nbrs], axis=1)] = False
+        for b in np.flatnonzero(~mask.any(axis=1)):
+            held = set(self.assignments[b, mdp.earlier_neighbors[k]].tolist())
+            mask[b, min(first_free(held), cap) - 1] = True
         return mask
 
     def apply(self, k, actions, mask):
         mdp = self.mdp
         v = int(mdp.vertex_order[k])
-        alive = ~self.dead
-        picked = mask[np.arange(actions.shape[0]), actions]
-        self.dead |= alive & ~picked
-        alive = ~self.dead
         self.actions[:, k] = actions
         self.masks[:, k, :] = mask
         colors = actions + 1
-        self.assignments[alive, v] = colors[alive]
-        self.max_colors[alive] = np.maximum(self.max_colors[alive], colors[alive])
-        rows = np.flatnonzero(alive)
+        for b in range(actions.shape[0]):
+            held = set(self.assignments[b, mdp.earlier_neighbors[k]].tolist())
+            colors[b] = first_free(held, colors[b])  # moves only a forced top slot
+        self.assignments[:, v] = colors
+        self.max_colors = np.maximum(self.max_colors, colors)
+        rows = np.flatnonzero(colors <= mdp.color_cap)
         self.blocked[rows[:, None], mdp.later_neighbors[k], actions[rows, None]] = True
         if k + 1 < mdp.n_vertices:
-            self.l1_pre[rows] += gflownet._l1_step(self.net, mdp, k, colors[rows])
+            self.l1_pre += gflownet._l1_step(self.net, mdp, k, actions + 1)
 
 
 def sample_batch_reference(net, mdp, batch, rng, record=False):
-    """gflownet._sample_batch (same draws, same re-rolls) run on ReferenceRollout."""
+    """gflownet._sample_batch (same draws) run on ReferenceRollout."""
     fast = gflownet._BatchRollout
     gflownet._BatchRollout = ReferenceRollout
     try:

@@ -274,7 +274,7 @@ def test_criterion_6_distribution_fidelity():
     sampler = train(h, config)
     final_loss = sampler.log[-1].mean_loss
     terminals = enumerate_terminals(sampler.mdp)
-    _, terminal_rewards, _ = _terminal_metrics(h, sampler.mdp.color_cap, terminals, config.measurement)
+    _, terminal_rewards, _ = _terminal_metrics(h, terminals, config.measurement)
     rewards = {a.tobytes(): r for a, r in zip(terminals, terminal_rewards.tolist())}
     z = sum(rewards.values())
     n = 100_000

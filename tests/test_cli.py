@@ -70,6 +70,19 @@ class TestGroup:
         assert ckpt.exists()
         assert log.read_text().startswith("iteration,mean_loss")
 
+    @pytest.mark.parametrize("mode", ["fc", "qwc"])
+    def test_gflownet_default_flags_on_h4(self, capsys, mode):
+        """The default color cap is tight on H4; rows that run out of colors
+        take forced ones instead of dead-ending."""
+        report, _ = run_report(
+            capsys, "group", "--input", H4, "--mode", mode, "--method", "gflownet",
+            "--iterations", "2",
+        )
+        rec = report["methods"][0]
+        g = build_complement_graph(load_hamiltonian(H4), mode)
+        assert validate_coloring(g, Coloring(np.array(rec["coloring"])))
+        assert rec["color_count"] > rec["color_cap"]
+
     def test_embedded_colorings_validate(self, capsys):
         for method in ("full", "greedy-lf", "greedy-dsat", "greedy-rs"):
             report, _ = run_report(
@@ -128,12 +141,23 @@ BAD_INPUTS = {
     "histogram-bin-width-0": (["histogram", "--checkpoint", H2, "--samples", "5", "--bin-width", "0"], "--bin-width"),
     "histogram-bin-width-nan": (["histogram", "--checkpoint", H2, "--samples", "5", "--bin-width", "nan"], "--bin-width"),
     "histogram-bin-width-inf": (["histogram", "--checkpoint", H2, "--samples", "5", "--bin-width", "inf"], "--bin-width"),
+    # an output file's directory is checked before any input is read or method run
+    "out-no-dir": (["group", "--input", H2, "--mode", "fc", "--method", "full", "--out", "NODIR/r.json"], "cannot write"),
+    "checkpoint-no-dir": (["group", "--input", "/nonexistent.ham", "--mode", "fc", "--method", "gflownet", "--checkpoint", "NODIR/c.npz"], "cannot write"),
+    "train-log-no-dir": (["group", "--input", "/nonexistent.ham", "--mode", "fc", "--method", "gflownet", "--train-log", "NODIR/t.csv"], "cannot write"),
+    "histogram-out-no-dir": (["histogram", "--checkpoint", "/nonexistent.npz", "--samples", "5", "--out", "NODIR/h.csv"], "cannot write"),
+    "export-graph-out-no-dir": (["export-graph", "--input", "/nonexistent.ham", "--mode", "fc", "--coloring", "/nonexistent.json", "--out", "NODIR/g.dot"], "cannot write"),
+    # a destination that exists but cannot be written fails at write time
+    "out-is-directory": (["group", "--input", H2, "--mode", "fc", "--method", "full", "--out", "TMPDIR"], "Is a directory"),
 }
 
 
 @pytest.mark.parametrize("case", BAD_INPUTS)
 def test_bad_input_exits_2_with_error_line(capsys, tmp_path, case):
     argv, message = BAD_INPUTS[case]
+    # NODIR/<file> lies in a directory that does not exist; TMPDIR is a directory
+    argv = [str(tmp_path / "nodir" / arg[6:]) if arg.startswith("NODIR/") else arg for arg in argv]
+    argv = [str(tmp_path) if arg == "TMPDIR" else arg for arg in argv]
     if "FOREIGN_NPZ" in argv:  # an .npz archive that pauliflow did not write
         foreign = tmp_path / "x.npz"
         np.savez(foreign, a=np.zeros(3))
@@ -155,7 +179,7 @@ def test_bad_input_exits_2_with_error_line(capsys, tmp_path, case):
         bad = tmp_path / "bad.npz"
         np.savez(bad, **arrays)
         argv = [str(bad) if arg == "MISMATCHED_CAP" else arg for arg in argv]
-    if argv[0] == "histogram":
+    if argv[0] == "histogram" and "--out" not in argv:
         argv = argv + ["--out", str(tmp_path / "h.csv")]
     code, out, err = run(capsys, *argv)
     assert code == 2

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from oracles import (
+    color_of,
     encode_state,
     enumerate_terminals,
     flow_matching_loss_dense,
     forced_rollout,
     legal_actions,
+    legal_rows,
     rollout_activations,
     sample_batch_reference,
     terminal_assignments_dfs,
@@ -68,7 +70,7 @@ def sample_batch(net, mdp, rng, batch, hamiltonian=None, measurement=Measurement
     rollout, _ = _sample_batch(net, mdp, batch, rng)
     rewards = np.ones(batch)
     if hamiltonian is not None:
-        _, rewards, _ = _terminal_metrics(hamiltonian, mdp.color_cap, rollout.assignments, measurement)
+        _, rewards, _ = _terminal_metrics(hamiltonian, rollout.assignments, measurement)
     return rollout.actions, rollout.masks, rewards
 
 
@@ -76,7 +78,7 @@ def mask_after(mdp, prefix):
     """The batch mask one trajectory meets after taking the colors `prefix`
     (0-based) at its first len(prefix) steps, which its masks must allow."""
     rollout = forced_rollout(mdp, np.array([prefix], dtype=np.int64))
-    assert not rollout.dead.any()
+    assert legal_rows(rollout, len(prefix)).all()
     return rollout.step_masks(len(prefix))[0]
 
 
@@ -155,7 +157,7 @@ class TestMDPAndMasks:
             prefixes = np.zeros((1, 0), dtype=np.int64)
             for k in range(mdp.n_vertices):
                 rollout = forced_rollout(mdp, prefixes)
-                assert not rollout.dead.any()
+                assert legal_rows(rollout, k).all()
                 masks = rollout.step_masks(k)
                 assert masks.any(axis=1).all()
                 prefixes = np.array(
@@ -176,9 +178,9 @@ class TestMDPAndMasks:
 
     def test_batch_enumeration_matches_scalar_dfs(self):
         """Forcing every action row through the batch mask keeps the terminal
-        set that a DFS over the scalar legal_actions reaches, dead ends
-        included."""
-        dead_ends = 0
+        set that a DFS over the scalar legal_actions reaches, forced colors
+        above the cap included, and the DFS meets no dead end."""
+        over_cap = 0
         for seed in range(12):
             g = random_graph(8, 0.5, seed)
             mdp = ColoringMDP(g, greedy_color(g, "random_sequential", seed=seed).max_color)
@@ -186,8 +188,9 @@ class TestMDPAndMasks:
             scalar, dead = terminal_assignments_dfs(mdp)
             assert batch == {a.tobytes() for a in scalar}
             assert len(scalar) == len(batch) > 0
-            dead_ends += dead
-        assert dead_ends > 0
+            assert dead == 0
+            over_cap += sum(int(a.max() > mdp.color_cap) for a in scalar)
+        assert over_cap > 0
 
 
 class TestEncoding:
@@ -227,7 +230,7 @@ class TestEncoding:
                 return
             for action in np.flatnonzero(legal_actions(mdp, assignment, cursor)):
                 child = assignment.copy()
-                child[mdp.vertex_order[cursor]] = action + 1
+                child[mdp.vertex_order[cursor]] = color_of(mdp, assignment, cursor, action)
                 walk(child, cursor + 1)
 
         walk(np.zeros(4, dtype=np.int64), 0)
@@ -287,7 +290,7 @@ class TestSampling:
         net = DenseNet.initialize([mdp.encoding_dim, 4, 1], seed=0)
         rng = np.random.Generator(np.random.PCG64(0))
         rollout, _ = _sample_batch(net, mdp, 1, rng)
-        _, rewards, _ = _terminal_metrics(h, 1, rollout.assignments, MeasurementConfig())
+        _, rewards, _ = _terminal_metrics(h, rollout.assignments, MeasurementConfig())
         assert list(rollout.assignments[0]) == [1]
         assert rewards[0] > 0
 
@@ -303,6 +306,31 @@ class TestSampling:
                 coloring = Coloring(row)
                 assert validate_coloring(g, coloring)
                 assert coloring.max_color <= cap
+
+    def test_every_cap_gives_complete_proper_canonical_rows(self):
+        """At every cap from 1 to the greedy color count, no row dead-ends:
+        every sampled row is complete, proper and canonical, and a color
+        above the cap appears only where earlier neighbors hold every lower
+        color."""
+        checked = over = 0
+        for seed in range(50):
+            rng = np.random.Generator(np.random.PCG64(seed))
+            g = random_graph(int(rng.integers(4, 16)), float(rng.uniform(0.2, 0.8)), seed)
+            for cap in range(1, greedy_color(g, "random_sequential", seed=seed).max_color + 1):
+                mdp = ColoringMDP(g, cap)
+                net = DenseNet.initialize([mdp.encoding_dim, 8, cap], seed=seed)
+                rows = _sample_batch(net, mdp, 96, rng)[0].assignments
+                assert (rows >= 1).all()
+                assert not (g.adjacency & (rows[:, :, None] == rows[:, None, :])).any()
+                ordered = rows[:, mdp.vertex_order]
+                highest = np.maximum.accumulate(ordered, axis=1)
+                assert (ordered[:, 0] == 1).all() and (ordered[:, 1:] <= highest[:, :-1] + 1).all()
+                for b, k in zip(*np.nonzero(ordered > cap)):
+                    held = set(rows[b, mdp.earlier_neighbors[k]].tolist())
+                    assert held >= set(range(1, ordered[b, k]))
+                    over += 1
+                checked += rows.shape[0]
+        assert checked > 15000 and over > 0
 
     def test_batch_masks_match_scalar_legal_actions(self):
         """The lockstep sampler must agree with the reference state machinery
@@ -367,13 +395,14 @@ class TestSparseInputFastPath:
     @pytest.mark.parametrize("n_vertices, p, seed", [(9, 0.5, 3), (10, 0.5, 1), (12, 0.4, 2)])
     def test_recorded_activations_match_dense_forward(self, n_vertices, p, seed):
         """A training rollout's recorded log-flows and activations are the
-        dense network's on every visited state, re-rolled rows included."""
+        dense network's on every visited state, rows forced past the cap
+        included."""
         g = random_graph(n_vertices, p, seed)
         mdp = ColoringMDP(g, greedy_color(g, "random_sequential", seed=seed).max_color)
         net = DenseNet.initialize([mdp.encoding_dim, 10, 7, mdp.n_actions], seed=seed)
         rng = np.random.Generator(np.random.PCG64(seed))
-        rollout, restarts = _sample_batch(net, mdp, 6, rng, record=True)
-        assert restarts > 0  # the cap is tight enough to exercise take_rows
+        rollout, _ = _sample_batch(net, mdp, 6, rng, record=True)
+        assert (rollout.assignments > mdp.color_cap).any()  # the cap is tight enough to force
         for b in range(6):
             states = trajectory_states(mdp, rollout.actions[b, :-1])
             enc = np.stack([encode_state(mdp, a, k) for k, a in enumerate(states)])
@@ -391,8 +420,9 @@ class TestSparseInputFastPath:
 
     @pytest.mark.parametrize("n_vertices, p, seed", [(12, 0.5, 0), (24, 0.3, 3), (30, 0.3, 2), (30, 0.3, 3)])
     def test_matches_reference_rollout(self, n_vertices, p, seed):
-        """Counted blocked colors and the layer-1 updates draw the same samples,
-        bit for bit, as the straightforward masks and updates."""
+        """Counted blocked colors, the vectorised forced colors and the
+        layer-1 updates draw the same samples, bit for bit, as the
+        straightforward masks and updates."""
         g = random_graph(n_vertices, p, seed)
         mdp = ColoringMDP(g, greedy_color(g, "random_sequential", seed=seed).max_color)
         net = DenseNet.initialize([mdp.encoding_dim, 10, 7, mdp.n_actions], seed=seed)
@@ -400,14 +430,13 @@ class TestSparseInputFastPath:
         def run(sample):
             return sample(net, mdp, 16, np.random.Generator(np.random.PCG64(seed)), record=True)
 
-        fast, restarts = run(_sample_batch)
-        ref, ref_restarts = run(sample_batch_reference)
-        assert restarts == ref_restarts
+        fast, _ = run(_sample_batch)
+        ref, _ = run(sample_batch_reference)
         for name in ("actions", "masks", "assignments", "log_flows"):
             assert np.array_equal(getattr(fast, name), getattr(ref, name)), name
         for kept, want in zip(fast.hidden, ref.hidden, strict=True):
             assert np.array_equal(kept, want)
-        assert restarts > 0
+        assert (fast.assignments > mdp.color_cap).any()
         assert feasibility_drops(mdp, fast.actions, fast.masks).any()
 
     def test_sampling_does_not_record(self):
@@ -542,15 +571,14 @@ class TestTerminalMetrics:
 
     def check(self, h, g, assignments, rng):
         cfg = MeasurementConfig(epsilon=float(rng.uniform(1e-3, 0.1)), lambda0=float(rng.uniform(1.0, 1e6)))
-        cap = int(assignments.max()) + int(rng.integers(0, 3))
-        m_est, rew, colors = _terminal_metrics(h, cap, assignments, cfg)
+        m_est, rew, colors = _terminal_metrics(h, assignments, cfg)
         for b, assignment in enumerate(assignments):
             coloring = Coloring(assignment)
             want = estimate_measurements(h, coloring_to_grouping(g, coloring), cfg.epsilon)
             assert m_est[b] == pytest.approx(want, rel=1e-12, abs=0)
             assert rew[b] == pytest.approx((h.n_terms - coloring.max_color) + cfg.lambda0 / want, rel=1e-12, abs=0)
             assert colors[b] == coloring.max_color
-            assert (m_est[b], rew[b], colors[b]) == terminal_metrics_row(h, cap, assignment, cfg)
+            assert (m_est[b], rew[b], colors[b]) == terminal_metrics_row(h, assignment, cfg)
 
     def test_random_hamiltonians(self):
         rng = np.random.Generator(np.random.PCG64(404))
@@ -570,18 +598,22 @@ class TestTerminalMetrics:
 
     def test_every_color_count_keeps_row_bits(self):
         """Rows of every color count from 1 to 60 in one batch, the pairwise
-        sum's block widths included, give the one-row m_est bit for bit."""
+        sum's block widths included, give the one-row m_est bit for bit; so
+        do rows in the same batch whose colors run past any sampler's cap
+        (61 up to one color per term), as forced colors do."""
         h = load_hamiltonian(bundled_path("h4_chain_sto3g_1A_jw.ham"))
         rng = np.random.Generator(np.random.PCG64(6))
         rows = []
-        for c in np.repeat(np.arange(1, 61), 40):
+        counts = np.concatenate([np.repeat(np.arange(1, 61), 40), np.arange(61, h.n_terms + 1)])
+        for c in counts:
             row = np.concatenate([np.arange(1, c + 1), rng.integers(1, c + 1, size=h.n_terms - c)])
             rows.append(rng.permutation(row))
         assignments = np.stack(rows)
         cfg = MeasurementConfig()
-        m_est, rew, colors = _terminal_metrics(h, 62, assignments, cfg)
+        m_est, rew, colors = _terminal_metrics(h, assignments, cfg)
+        assert colors.max() == h.n_terms
         for b, row in enumerate(assignments):
-            assert (m_est[b], rew[b], colors[b]) == terminal_metrics_row(h, 62, row, cfg)
+            assert (m_est[b], rew[b], colors[b]) == terminal_metrics_row(h, row, cfg)
 
 
 class TestTraining:
