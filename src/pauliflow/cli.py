@@ -246,6 +246,8 @@ def cmd_compare(args) -> int:
 def cmd_histogram(args) -> int:
     if args.samples < 1:
         raise CliInputError("--samples must be >= 1")
+    if args.seed < 0:
+        raise CliInputError(f"--seed must be >= 0, got {args.seed}")
     if args.bin_width is not None and not 0 < args.bin_width < float("inf"):
         raise CliInputError(f"--bin-width must be a positive, finite number, got {args.bin_width}")
     _check_output_dirs(args.out)
@@ -274,6 +276,10 @@ def cmd_histogram(args) -> int:
 
 
 def cmd_export_graph(args) -> int:
+    try:
+        MeasurementConfig(epsilon=args.epsilon)
+    except ValueError as err:
+        raise CliInputError(str(err)) from err
     _check_output_dirs(args.out)
     h = _load_input(args.input)
     if h.n_terms == 0:

@@ -84,10 +84,6 @@ class ColoringMDP:
         return self.graph.n_vertices
 
     @property
-    def n_actions(self) -> int:
-        return self.color_cap
-
-    @property
     def encoding_dim(self) -> int:
         n = self.n_vertices
         return n * (self.color_cap + 1) + n
@@ -320,6 +316,8 @@ class TrainConfig:
             raise ValueError("iterations must be >= 1")
         if self.trajectories_per_iteration < 1:
             raise ValueError("trajectories_per_iteration must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.mask_extra_colors < 0:
             raise ValueError("mask_extra_colors must be >= 0")
         if self.mode not in ("fc", "qwc"):
@@ -353,13 +351,11 @@ class TrainedSampler:
         mdp: ColoringMDP,
         net: DenseNet,
         config: TrainConfig,
-        adam: AdamState | None = None,
     ):
         self.hamiltonian = hamiltonian
         self.mdp = mdp
         self.net = net
         self.config = config
-        self.adam = adam
         self.log: list[IterationLog] = []
         self.discovered: dict[bytes, DiscoveredGrouping] = {}
         self._best: DiscoveredGrouping | None = None
@@ -407,10 +403,8 @@ class TrainedSampler:
         ]
 
     def save(self, path) -> None:
-        """Checkpoint the network, Adam's state and the metadata load() needs.
-        A sampler returned by load() has no Adam state, so this raises."""
-        if self.adam is None:
-            raise ValueError("sampler has no optimizer state to checkpoint")
+        """Checkpoint the network and the metadata load() needs; any sampler,
+        one returned by load() included, can be saved."""
         best = self.best if self.discovered else None
         metadata = {
             "hamiltonian": dump_hamiltonian(self.hamiltonian),
@@ -427,13 +421,13 @@ class TrainedSampler:
             "accumulation_period": self.config.accumulation_period,
             "best_assignment": None if best is None else best.assignment.tolist(),
         }
-        save_checkpoint(path, self.net, self.adam, metadata)
+        save_checkpoint(path, self.net, metadata)
 
     @classmethod
     def load(cls, path) -> "TrainedSampler":
-        """The sampler a checkpoint holds, for sampling only: the optimizer
-        state is not read, so the result cannot be saved again."""
-        net, _, metadata = load_checkpoint(path, optimizer=False)
+        """The sampler a checkpoint holds: its network, config and best grouping,
+        without the training log or the other discovered groupings."""
+        net, metadata = load_checkpoint(path)
         try:
             h = loads_hamiltonian(metadata["hamiltonian"])
             color_cap = int(metadata["color_cap"])
@@ -516,12 +510,12 @@ def train(h: QubitHamiltonian, config: TrainConfig | None = None) -> TrainedSamp
     cap += config.mask_extra_colors
     mdp = ColoringMDP(graph, cap)
     net = DenseNet.initialize(
-        [mdp.encoding_dim, *config.hidden_sizes, mdp.n_actions], seed=config.seed
+        [mdp.encoding_dim, *config.hidden_sizes, mdp.color_cap], seed=config.seed
     )
     adam = AdamState.for_net(
         net, lr=config.learning_rate, accumulation_period=config.accumulation_period
     )
-    sampler = TrainedSampler(h, mdp, net, config, adam)
+    sampler = TrainedSampler(h, mdp, net, config)
     rng = np.random.Generator(np.random.PCG64(config.seed))
     batch = config.trajectories_per_iteration
 

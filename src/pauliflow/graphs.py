@@ -70,9 +70,6 @@ class CompatGraph:
     def neighbors(self, v: int) -> np.ndarray:
         return np.flatnonzero(self.adjacency[v])
 
-    def has_edge(self, i: int, j: int) -> bool:
-        return bool(self.adjacency[i, j])
-
 
 @dataclass(frozen=True)
 class Coloring:
@@ -110,9 +107,6 @@ class Grouping:
     @property
     def n_groups(self) -> int:
         return len(self.groups)
-
-    def group_sizes(self) -> list[int]:
-        return [len(g) for g in self.groups]
 
 
 def build_complement_graph(h: QubitHamiltonian, mode: str) -> CompatGraph:

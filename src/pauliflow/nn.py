@@ -1,4 +1,5 @@
-"""Dense network with exact reverse-mode gradients, plus Adam with accumulation.
+"""Dense network with exact reverse-mode gradients, Adam with accumulation,
+and versioned checkpoints of the network alone.
 
 Float64 throughout. Hidden layers use tanh; the output layer is linear and is
 interpreted downstream as log-flows, so flows stay positive by construction.
@@ -205,30 +206,23 @@ def check_finite(net: DenseNet, context: str = "") -> None:
             raise NumericError(f"non-finite network parameter{': ' + context if context else ''}")
 
 
-def save_checkpoint(path, net: DenseNet, adam: AdamState, metadata: dict | None = None) -> None:
-    """Versioned npz dump of layer sizes, parameters, and optimizer state."""
+def save_checkpoint(path, net: DenseNet, metadata: dict | None = None) -> None:
+    """Versioned npz dump of the layer sizes, the parameters and the metadata."""
     arrays = {
         "version": np.array(CHECKPOINT_VERSION),
         "layer_sizes": np.array(net.layer_sizes),
-        "adam_scalars": np.array(
-            [adam.lr, adam.beta1, adam.beta2, adam.eps, adam.accumulation_period, adam.t, adam.accum_count]
-        ),
         "metadata": np.array(json.dumps(metadata or {})),
     }
     for k in range(net.n_layers):
         arrays[f"w{k}"] = net.weights[k]
         arrays[f"b{k}"] = net.biases[k]
-    for i, (m, v, a) in enumerate(zip(adam.m, adam.v, adam.accum)):
-        arrays[f"adam_m{i}"] = m
-        arrays[f"adam_v{i}"] = v
-        arrays[f"adam_a{i}"] = a
     np.savez(path, **arrays)
 
 
-def load_checkpoint(path, optimizer: bool = True) -> tuple[DenseNet, AdamState | None, dict]:
+def load_checkpoint(path) -> tuple[DenseNet, dict]:
     """Inverse of save_checkpoint; ValueError if an array it reads is missing.
-    With optimizer=False the Adam arrays (three quarters of the file) are
-    not read and None is returned in their place."""
+    Other arrays in the archive, such as an older writer's Adam state, are
+    not read."""
     try:
         with np.load(path, allow_pickle=False) as data:
             version = int(data["version"])
@@ -240,23 +234,7 @@ def load_checkpoint(path, optimizer: bool = True) -> tuple[DenseNet, AdamState |
                 [data[f"w{k}"] for k in range(n_layers)],
                 [data[f"b{k}"] for k in range(n_layers)],
             )
-            adam = None
-            if optimizer:
-                lr, b1, b2, eps, period, t, count = data["adam_scalars"]
-                n_params = 2 * n_layers
-                adam = AdamState(
-                    lr=float(lr),
-                    beta1=float(b1),
-                    beta2=float(b2),
-                    eps=float(eps),
-                    accumulation_period=int(period),
-                    t=int(t),
-                    m=[data[f"adam_m{i}"] for i in range(n_params)],
-                    v=[data[f"adam_v{i}"] for i in range(n_params)],
-                    accum=[data[f"adam_a{i}"] for i in range(n_params)],
-                    accum_count=int(count),
-                )
             metadata = json.loads(str(data["metadata"]))
     except KeyError as err:  # np.load's archive names the array it lacks
         raise ValueError(f"not a pauliflow checkpoint: {err.args[0]}") from err
-    return net, adam, metadata
+    return net, metadata

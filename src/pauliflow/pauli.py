@@ -135,10 +135,6 @@ class PauliWord:
     def is_identity(self) -> bool:
         return not (self.x_bits.any() or self.z_bits.any())
 
-    def weight(self) -> int:
-        """Number of non-identity factors."""
-        return int(np.count_nonzero(self.x_bits | self.z_bits))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, PauliWord):
             return NotImplemented

@@ -157,7 +157,7 @@ def forced_rollout(mdp, actions):
     """A _BatchRollout driven through the first m steps by the (B, m) actions
     given in place of draws. masks[:, k] holds each row's mask at step k;
     legal_rows tells which rows took only actions their masks allow."""
-    net = DenseNet.initialize([mdp.encoding_dim, mdp.n_actions], seed=0)
+    net = DenseNet.initialize([mdp.encoding_dim, mdp.color_cap], seed=0)
     rollout = gflownet._BatchRollout(net, mdp, actions.shape[0])
     for k in range(actions.shape[1]):
         rollout.apply(k, actions[:, k], rollout.step_masks(k))

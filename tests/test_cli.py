@@ -7,7 +7,7 @@ from pauliflow.cli import main
 from pauliflow.gflownet import TrainConfig, train
 from pauliflow.graphs import Coloring, build_complement_graph, validate_coloring
 from pauliflow.hamio import bundled_path, load_hamiltonian
-from pauliflow.nn import AdamState, DenseNet, save_checkpoint
+from pauliflow.nn import DenseNet, save_checkpoint
 
 H2 = bundled_path("h2_sto3g_1A_jw.ham")
 SYNTH = bundled_path("synthetic_10term.ham")
@@ -128,6 +128,11 @@ BAD_INPUTS = {
     "lambda0-negative": (["group", "--input", H2, "--mode", "fc", "--method", "gflownet", "--lambda0", "-1"], "lambda0"),
     "iterations-0": (["group", "--input", H2, "--mode", "fc", "--method", "gflownet", "--iterations", "0"], "iterations"),
     "traj-per-iter-0": (["group", "--input", H2, "--mode", "fc", "--method", "gflownet", "--traj-per-iter", "0"], "trajectories"),
+    # TrainConfig checks the seed before any method runs, so it holds for greedy-lf as well
+    "seed-negative-greedy-lf": (["group", "--input", H2, "--mode", "fc", "--method", "greedy-lf", "--seed", "-1"], "seed"),
+    "seed-negative-greedy-rs": (["group", "--input", H2, "--mode", "fc", "--method", "greedy-rs", "--seed", "-1"], "seed"),
+    "seed-negative-gflownet": (["group", "--input", H2, "--mode", "fc", "--method", "gflownet", "--seed", "-1"], "seed"),
+    "compare-seed-negative": (["compare", "--input", H2, "--mode", "fc", "--methods", "greedy-rs,gflownet", "--seed", "-1"], "seed"),
     "mask-extra-negative": (["group", "--input", H2, "--mode", "fc", "--method", "gflownet", "--mask-extra", "-1"], "mask_extra"),
     "exact-on-h4": (["group", "--input", H4, "--mode", "fc", "--method", "exact"], "exact-search limit"),
     "compare-exact-on-h4": (["compare", "--input", H4, "--mode", "fc", "--methods", "full,exact"], "exact-search limit"),
@@ -136,11 +141,16 @@ BAD_INPUTS = {
     "histogram-foreign-npz": (["histogram", "--checkpoint", "FOREIGN_NPZ", "--samples", "5"], "not a pauliflow checkpoint"),
     "histogram-no-metadata": (["histogram", "--checkpoint", "BARE_CHECKPOINT", "--samples", "5"], "not a pauliflow checkpoint"),
     "histogram-mismatched-cap": (["histogram", "--checkpoint", "MISMATCHED_CAP", "--samples", "5"], "color_cap"),
+    "histogram-seed-before-load": (["histogram", "--checkpoint", H2, "--samples", "5", "--seed", "-1"], "--seed"),
     # the bin width is checked before the checkpoint (here not one) is read
     "histogram-bin-width-negative": (["histogram", "--checkpoint", H2, "--samples", "5", "--bin-width", "-5"], "--bin-width"),
     "histogram-bin-width-0": (["histogram", "--checkpoint", H2, "--samples", "5", "--bin-width", "0"], "--bin-width"),
     "histogram-bin-width-nan": (["histogram", "--checkpoint", H2, "--samples", "5", "--bin-width", "nan"], "--bin-width"),
     "histogram-bin-width-inf": (["histogram", "--checkpoint", H2, "--samples", "5", "--bin-width", "inf"], "--bin-width"),
+    # export-graph checks --epsilon before it reads any input (here none exists)
+    "export-graph-epsilon-0": (["export-graph", "--input", "/nonexistent.ham", "--mode", "fc", "--coloring", "/nonexistent.json", "--out", "NODIR/g.dot", "--epsilon", "0"], "epsilon"),
+    "export-graph-epsilon-negative": (["export-graph", "--input", "/nonexistent.ham", "--mode", "fc", "--coloring", "/nonexistent.json", "--out", "NODIR/g.dot", "--epsilon", "-1"], "epsilon"),
+    "export-graph-epsilon-nan": (["export-graph", "--input", "/nonexistent.ham", "--mode", "fc", "--coloring", "/nonexistent.json", "--out", "NODIR/g.dot", "--epsilon", "nan"], "epsilon"),
     # an output file's directory is checked before any input is read or method run
     "out-no-dir": (["group", "--input", H2, "--mode", "fc", "--method", "full", "--out", "NODIR/r.json"], "cannot write"),
     "checkpoint-no-dir": (["group", "--input", "/nonexistent.ham", "--mode", "fc", "--method", "gflownet", "--checkpoint", "NODIR/c.npz"], "cannot write"),
@@ -165,7 +175,7 @@ def test_bad_input_exits_2_with_error_line(capsys, tmp_path, case):
     if "BARE_CHECKPOINT" in argv:  # a network checkpoint without the sampler's metadata
         bare = tmp_path / "c.npz"
         net = DenseNet.initialize([3, 4, 2], seed=0)
-        save_checkpoint(bare, net, AdamState.for_net(net))
+        save_checkpoint(bare, net)
         argv = [str(bare) if arg == "BARE_CHECKPOINT" else arg for arg in argv]
     if "MISMATCHED_CAP" in argv:  # an H2 checkpoint whose color_cap is 3 more than its network's
         good = tmp_path / "good.npz"

@@ -399,7 +399,7 @@ class TestSparseInputFastPath:
         included."""
         g = random_graph(n_vertices, p, seed)
         mdp = ColoringMDP(g, greedy_color(g, "random_sequential", seed=seed).max_color)
-        net = DenseNet.initialize([mdp.encoding_dim, 10, 7, mdp.n_actions], seed=seed)
+        net = DenseNet.initialize([mdp.encoding_dim, 10, 7, mdp.color_cap], seed=seed)
         rng = np.random.Generator(np.random.PCG64(seed))
         rollout, _ = _sample_batch(net, mdp, 6, rng, record=True)
         assert (rollout.assignments > mdp.color_cap).any()  # the cap is tight enough to force
@@ -425,7 +425,7 @@ class TestSparseInputFastPath:
         straightforward masks and updates."""
         g = random_graph(n_vertices, p, seed)
         mdp = ColoringMDP(g, greedy_color(g, "random_sequential", seed=seed).max_color)
-        net = DenseNet.initialize([mdp.encoding_dim, 10, 7, mdp.n_actions], seed=seed)
+        net = DenseNet.initialize([mdp.encoding_dim, 10, 7, mdp.color_cap], seed=seed)
 
         def run(sample):
             return sample(net, mdp, 16, np.random.Generator(np.random.PCG64(seed)), record=True)
@@ -442,7 +442,7 @@ class TestSparseInputFastPath:
     def test_sampling_does_not_record(self):
         g = random_graph(6, 0.5, 0)
         mdp = ColoringMDP(g, greedy_color(g, "random_sequential", seed=0).max_color + 1)
-        net = DenseNet.initialize([mdp.encoding_dim, 8, mdp.n_actions], seed=0)
+        net = DenseNet.initialize([mdp.encoding_dim, 8, mdp.color_cap], seed=0)
         rollout, _ = _sample_batch(net, mdp, 4, np.random.Generator(np.random.PCG64(0)))
         assert rollout.log_flows is None and rollout.hidden == []
 
@@ -534,7 +534,7 @@ class TestFlowMatchingLoss:
         h = load_hamiltonian(bundled_path("h2_sto3g_1A_jw.ham"))
         g = build_complement_graph(h, "fc")
         mdp = ColoringMDP(g, greedy_color(g, "random_sequential", seed=0).max_color + 1)
-        net = DenseNet.initialize([mdp.encoding_dim, 16, 16, mdp.n_actions], seed=0)
+        net = DenseNet.initialize([mdp.encoding_dim, 16, 16, mdp.color_cap], seed=0)
         rng = np.random.Generator(np.random.PCG64(0))
         actions, masks, rewards = sample_batch(net, mdp, rng, 4, hamiltonian=h)
         loss, grads = loss_of(net, mdp, actions, masks, rewards)
@@ -673,14 +673,35 @@ class TestTraining:
         sampler.save(path)
         loaded = TrainedSampler.load(path)
         assert loaded.mdp.color_cap == sampler.mdp.color_cap
-        assert loaded.config.mode == sampler.config.mode
-        a = sampler.sample(10, rng=7)
-        b = loaded.sample(10, rng=7)
-        for (ca, ma, ra), (cb, mb, rb) in zip(a, b):
-            assert np.array_equal(ca.assignment, cb.assignment)
-            assert ma == mb and ra == rb
+        assert loaded.config == sampler.config
         assert loaded.best.m_est == sampler.best.m_est
-        # loading reads no optimizer state, so a loaded sampler cannot be saved again
-        assert loaded.adam is None
-        with pytest.raises(ValueError, match="no optimizer state"):
-            loaded.save(tmp_path / "again.npz")
+        # a loaded sampler saves again, and the copy holds the sampler alone
+        again = tmp_path / "again.npz"
+        loaded.save(again)
+        with np.load(again) as data:
+            assert not [k for k in data.files if k.startswith("adam_")]
+        reloaded = TrainedSampler.load(again)
+        assert reloaded.config == sampler.config
+        assert np.array_equal(reloaded.best.assignment, sampler.best.assignment)
+        expected = sampler.sample(10, rng=7)
+        for other in (loaded, reloaded):
+            for (ca, ma, ra), (cb, mb, rb) in zip(expected, other.sample(10, rng=7), strict=True):
+                assert np.array_equal(ca.assignment, cb.assignment)
+                assert ma == mb and ra == rb
+
+    def test_checkpoint_with_adam_arrays_still_loads(self, tmp_path):
+        # the archive format written before checkpoints dropped Adam's state
+        h = loads_hamiltonian("qubits: 2\n0.5 Z0\n0.4 X0 X1\n0.3 Z0 Z1\n")
+        sampler = train(h, tiny_config(iterations=3, seed=1))
+        path = tmp_path / "ckpt.npz"
+        sampler.save(path)
+        with np.load(path) as data:
+            arrays = dict(data)
+        arrays["adam_scalars"] = np.array([3e-4, 0.9, 0.999, 1e-8, 10, 0, 3])
+        for i, p in enumerate(sampler.net.parameters()):
+            arrays.update({f"adam_m{i}": p * 0.5, f"adam_v{i}": p * p, f"adam_a{i}": p})
+        np.savez(path, **arrays)
+        loaded = TrainedSampler.load(path)
+        assert loaded.config == sampler.config
+        for (ca, ma, _), (cb, mb, _) in zip(sampler.sample(10, rng=3), loaded.sample(10, rng=3), strict=True):
+            assert np.array_equal(ca.assignment, cb.assignment) and ma == mb

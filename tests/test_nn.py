@@ -221,55 +221,40 @@ class TestAdam:
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         net = DenseNet.initialize([4, 8, 3], seed=3)
-        state = AdamState.for_net(net, lr=1e-3, accumulation_period=5)
-        grads = [np.full_like(p, 0.1) for p in net.parameters()]
-        for _ in range(7):
-            adam_accumulate_and_step(state, net.parameters(), grads)
         meta = {"mode": "fc", "color_cap": 3}
         path = tmp_path / "ckpt.npz"
-        save_checkpoint(path, net, state, meta)
-        net2, state2, meta2 = load_checkpoint(path)
+        save_checkpoint(path, net, meta)
+        with np.load(path) as data:
+            assert sorted(data.files) == ["b0", "b1", "layer_sizes", "metadata", "version", "w0", "w1"]
+        net2, meta2 = load_checkpoint(path)
         assert meta2 == meta
         assert net2.layer_sizes == net.layer_sizes
-        for a, b in zip(net.parameters(), net2.parameters()):
-            assert np.array_equal(a, b)
-        assert state2.t == state.t and state2.accum_count == state.accum_count
-        assert state2.lr == state.lr and state2.accumulation_period == 5
-        for a, b in zip(state.m + state.v + state.accum, state2.m + state2.v + state2.accum):
+        for a, b in zip(net.parameters(), net2.parameters(), strict=True):
             assert np.array_equal(a, b)
 
     def test_load_without_optimizer_state(self, tmp_path):
+        # an archive written before checkpoints dropped Adam's arrays still
+        # loads: the loader reads the same arrays and ignores the rest
         net = DenseNet.initialize([4, 8, 3], seed=3)
         meta = {"mode": "fc", "color_cap": 3}
         path = tmp_path / "ckpt.npz"
-        save_checkpoint(path, net, AdamState.for_net(net), meta)
-        # the same archive without Adam's arrays: a weights-only load never reads them
+        save_checkpoint(path, net, meta)
         with np.load(path) as data:
-            kept = {k: data[k] for k in data.files if not k.startswith("adam_")}
-        np.savez(path, **kept)
-        net2, state2, meta2 = load_checkpoint(path, optimizer=False)
-        assert state2 is None and meta2 == meta
+            arrays = dict(data)
+        state = AdamState.for_net(net)
+        arrays["adam_scalars"] = np.array([state.lr, state.beta1, state.beta2, state.eps, 10, 0, 0])
+        for i, (m, v, a) in enumerate(zip(state.m, state.v, state.accum)):
+            arrays.update({f"adam_m{i}": m, f"adam_v{i}": v, f"adam_a{i}": a})
+        np.savez(path, **arrays)
+        net2, meta2 = load_checkpoint(path)
+        assert meta2 == meta
         for a, b in zip(net.parameters(), net2.parameters(), strict=True):
             assert np.array_equal(a, b)
-        with pytest.raises(ValueError, match="not a pauliflow checkpoint"):
+        # one missing array the loader reads makes it not a checkpoint
+        del arrays["b1"]
+        np.savez(path, **arrays)
+        with pytest.raises(ValueError, match="not a pauliflow checkpoint: b1"):
             load_checkpoint(path)
-
-    def test_resume_continues_identically(self, tmp_path):
-        def train(net, state, n):
-            rng = np.random.Generator(np.random.PCG64(0))
-            for _ in range(n):
-                grads = [rng.normal(size=p.shape) for p in net.parameters()]
-                adam_accumulate_and_step(state, net.parameters(), grads)
-
-        net = DenseNet.initialize([3, 4, 2], seed=0)
-        state = AdamState.for_net(net)
-        train(net, state, 15)
-        save_checkpoint(tmp_path / "c.npz", net, state)
-        net2, state2, _ = load_checkpoint(tmp_path / "c.npz")
-        train(net, state, 15)
-        train(net2, state2, 15)
-        for a, b in zip(net.parameters(), net2.parameters()):
-            assert np.array_equal(a, b)
 
     def test_finite_guard(self):
         net = DenseNet.initialize([2, 2], seed=0)
