@@ -126,8 +126,9 @@ def flow_matching_loss(
     rewards: np.ndarray,
     log_flows: np.ndarray,
     hidden: list[np.ndarray],
-) -> tuple[float, list[np.ndarray]]:
-    """Mean flow-matching loss of a rollout batch and its parameter grads.
+) -> tuple[float, list[np.ndarray], np.ndarray]:
+    """Mean flow-matching loss of a rollout batch, its parameter grads, and
+    the rows of the input layer's weights W0 that grads[0] holds.
 
     actions (B, n) and masks (B, n, cap) are the action slots taken and the
     legal action slots at each step (a forced color above the cap takes the
@@ -137,6 +138,8 @@ def flow_matching_loss(
     training rollout recorded them, so only the backward pass runs here. A
     trajectory's loss sums the squared log-ratio of inflow to outflow over
     its states, with the terminal outflow replaced by the reward.
+    grads[0] is row-sparse, as adam_accumulate_and_step takes it: W0's gradient
+    on the uncolored-slot, cursor and taken colored rows, the only rows it touches.
     """
     batch, n = actions.shape
     cap = mdp.color_cap
@@ -171,18 +174,22 @@ def flow_matching_loss(
     # Vertex order[k]'s uncolored row is active in s_0..s_k, its cursor row
     # in s_k, and its colored row in s_{k+1}..s_{n-1}, so each W0 row's
     # coefficient is a prefix sum, a single step, or a per-trajectory suffix.
+    # The three row sets are disjoint.
     order = mdp.vertex_order
     per_step = delta.sum(axis=0)
-    suffix = np.flip(np.cumsum(np.flip(delta[:, 1:], axis=1), axis=1), axis=1)
-    dw0 = np.zeros_like(net.weights[0])
-    dw0[order * (cap + 1)] = np.cumsum(per_step, axis=0)
-    dw0[n * (cap + 1) + order] = per_step
+    suffix = np.flip(delta[:, 1:], axis=1)  # suffix sums, in place in delta
+    np.cumsum(suffix, axis=1, out=suffix)
     # a trajectory colors each vertex once, so its colored rows are distinct
-    colored = order[:-1] * (cap + 1) + actions[:, :-1] + 1
+    colored, slots = np.unique(order[:-1] * (cap + 1) + actions[:, :-1] + 1, return_inverse=True)
+    slots = slots.reshape(batch, n - 1)  # numpy 1.x flattens the inverse
+    rows0 = np.concatenate([order * (cap + 1), n * (cap + 1) + order, colored])
+    dw0 = np.zeros((rows0.size, delta.shape[2]))
+    np.cumsum(per_step, axis=0, out=dw0[:n])
+    dw0[n : 2 * n] = per_step
     for b in range(batch):
-        dw0[colored[b]] += suffix[b]
+        dw0[2 * n + slots[b]] += delta[b, 1:]
     grads[0], grads[1] = dw0, per_step.sum(axis=0)
-    return loss, grads
+    return loss, grads, rows0
 
 
 class _BatchRollout:
@@ -204,9 +211,11 @@ class _BatchRollout:
 
     With record=True, each step's log-flows and hidden activations are kept
     for the loss (B * n_vertices rows per layer, so sampling does not record).
+    record may instead be an earlier rollout's (log_flows, hidden) to
+    overwrite, so training allocates them once.
     """
 
-    def __init__(self, net: DenseNet, mdp: ColoringMDP, batch: int, record: bool = False):
+    def __init__(self, net: DenseNet, mdp: ColoringMDP, batch: int, record=False):
         n, cap = mdp.n_vertices, mdp.color_cap
         self.net = net
         self.mdp = mdp
@@ -217,11 +226,10 @@ class _BatchRollout:
         self.actions = np.zeros((batch, n), dtype=np.int64)
         self.masks = np.zeros((batch, n, cap), dtype=bool)
         self.l1_pre = np.tile(_l1_start(net, mdp), (batch, 1))
-        self.log_flows: np.ndarray | None = None
-        self.hidden: list[np.ndarray] = []
-        if record:
-            self.log_flows = np.empty((batch, n, cap))
-            self.hidden = [np.empty((batch, n, size)) for size in net.layer_sizes[1:-1]]
+        if record is True:
+            hidden = [np.empty((batch, n, size)) for size in net.layer_sizes[1:-1]]
+            record = np.empty((batch, n, cap)), hidden
+        self.log_flows, self.hidden = record or (None, [])
 
     def step_masks(self, k: int) -> np.ndarray:
         mdp = self.mdp
@@ -280,13 +288,13 @@ class _BatchRollout:
 
 
 def _sample_batch(
-    net: DenseNet, mdp: ColoringMDP, batch: int, rng: np.random.Generator, record: bool = False
+    net: DenseNet, mdp: ColoringMDP, batch: int, rng: np.random.Generator, record=False
 ) -> tuple[_BatchRollout, int]:
     """Roll a full lockstep batch, drawing each step's action from the
     softmax of the log-flows over the legal slots. Returns the rollout and 0,
     the number of restarts: no mask is empty, so no trajectory is re-rolled
-    (perfbench reads the count). With record=True the rollout keeps every
-    state's log-flows and hidden activations."""
+    (perfbench reads the count). With record set the rollout keeps every
+    state's log-flows and hidden activations (see _BatchRollout)."""
     rollout = _BatchRollout(net, mdp, batch, record)
     for k in range(mdp.n_vertices):
         mask = rollout.step_masks(k)
@@ -518,18 +526,20 @@ def train(h: QubitHamiltonian, config: TrainConfig | None = None) -> TrainedSamp
     sampler = TrainedSampler(h, mdp, net, config)
     rng = np.random.Generator(np.random.PCG64(config.seed))
     batch = config.trajectories_per_iteration
-
+    record = True  # the first rollout allocates its recording arrays, later ones reuse them
     for iteration in range(config.iterations):
         try:
-            rollout, _ = _sample_batch(net, mdp, batch, rng, record=True)
+            rollout, _ = _sample_batch(net, mdp, batch, rng, record=record)
             rewards = sampler._record(rollout, iteration)
-            mean_loss, grads = flow_matching_loss(
+            mean_loss, grads, rows0 = flow_matching_loss(
                 net, mdp, rollout.actions, rollout.masks, rewards, rollout.log_flows, rollout.hidden
             )
-            if adam_accumulate_and_step(adam, net.parameters(), grads):
+            if adam_accumulate_and_step(adam, net.parameters(), grads, rows0):
                 check_finite(net, f"iteration {iteration}")
         except NumericError as err:
             raise NumericError(f"iteration {iteration}: {err}") from err
+        record = rollout.log_flows, rollout.hidden
+        del rollout, grads  # free them before the next rollout starts
         best = sampler.best
         sampler.log.append(
             IterationLog(

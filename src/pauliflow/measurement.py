@@ -14,12 +14,15 @@ The sampler reward trades group count against the measurement estimate:
 
     reward = (n_terms - max_color) + lambda0 / m_est
 
-MeasurementConfig holds epsilon and lambda0. The sampler computes m_est and
-the reward itself, for a whole batch of assignment rows at once, in
-gflownet._terminal_metrics; tests pin its m_est to estimate_measurements.
+MeasurementConfig holds epsilon and lambda0, both positive and finite, with
+epsilon**-2 finite too, so that m_est and the reward are numbers. The
+sampler computes m_est and the reward itself, for a whole batch of
+assignment rows at once, in gflownet._terminal_metrics; tests pin its m_est
+to estimate_measurements.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -41,10 +44,14 @@ class MeasurementConfig:
     lambda0: float = 1e6
 
     def __post_init__(self):
-        if not self.epsilon > 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if not self.lambda0 > 0:
-            raise ValueError(f"lambda0 must be positive, got {self.lambda0}")
+        try:  # m_est divides by epsilon**2, so epsilon**-2 must not overflow
+            usable = 0 < self.epsilon < math.inf and math.isfinite(float(self.epsilon) ** -2)
+        except OverflowError:
+            usable = False
+        if not usable:
+            raise ValueError(f"epsilon and epsilon**-2 must be positive and finite, got {self.epsilon}")
+        if not 0 < self.lambda0 < math.inf:
+            raise ValueError(f"lambda0 must be positive and finite, got {self.lambda0}")
 
 
 GroupVariance = Callable[[Sequence[int]], float]
@@ -61,8 +68,7 @@ def estimate_measurements(
     group_variance, when given, maps a group's term indices to Var of that
     fragment and overrides the default bound sum(c^2).
     """
-    if not epsilon > 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    MeasurementConfig(epsilon=epsilon)  # raises ValueError on an unusable epsilon
     if grouping.n_groups == 0:
         raise EmptyGroupingError("grouping has no groups")
     coeffs = h.coefficients()

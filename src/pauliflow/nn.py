@@ -5,8 +5,9 @@ Float64 throughout. Hidden layers use tanh; the output layer is linear and is
 interpreted downstream as log-flows, so flows stay positive by construction.
 forward/backward accept a single input vector or a batch (rows), and are pure
 given the parameters; the optimizer mutates parameters, moments and its
-gradient accumulator in place and must be serialized externally (one writer
-at a time).
+gradient accumulator in place, a block of rows at a time, and must be
+serialized externally (one writer at a time). The first layer's gradient may
+arrive row-sparse: only the rows it touches, with their indices.
 """
 from __future__ import annotations
 
@@ -18,6 +19,7 @@ import numpy as np
 from .pauli import DimensionError
 
 CHECKPOINT_VERSION = 1
+ADAM_BLOCK_BYTES = 1 << 20  # the Adam step's scratch: one block of rows
 
 
 class NumericError(RuntimeError):
@@ -125,7 +127,10 @@ class DenseNet:
         for k in range(self.n_layers - 1, 0, -1):
             grads[2 * k] = hidden[k - 1].T @ delta
             grads[2 * k + 1] = delta.sum(axis=0)
-            delta = (delta @ self.weights[k].T) * (1.0 - hidden[k - 1] ** 2)
+            delta = delta @ self.weights[k].T
+            slope = np.square(hidden[k - 1])  # 1 - h^2, formed in place
+            delta *= np.subtract(1.0, slope, out=slope)
+            del slope  # before the next layer's product allocates
         return grads, delta
 
     def copy(self) -> "DenseNet":
@@ -160,18 +165,22 @@ class AdamState:
 
 
 def adam_accumulate_and_step(
-    state: AdamState, params: list[np.ndarray], grads: list[np.ndarray]
+    state: AdamState, params: list[np.ndarray], grads: list[np.ndarray], rows0=None
 ) -> bool:
     """Accumulate one gradient; on every accumulation_period-th call, apply one
-    bias-corrected Adam update with the averaged gradient and reset. The
-    update runs in place, with one scratch array per parameter. Returns
-    True when parameters changed."""
+    bias-corrected Adam update with the averaged gradient and reset. With
+    rows0 (distinct row indices), grads[0] holds only those rows of the first
+    parameter's gradient, and its other rows are zero. The update runs in
+    place, block by block of rows, with one block-sized scratch array at a
+    time. Returns True when parameters changed."""
     if len(grads) != len(params):
         raise DimensionError(f"{len(grads)} gradient arrays for {len(params)} parameters")
-    for acc, g, p in zip(state.accum, grads, params):
-        if g.shape != p.shape:
-            raise DimensionError(f"gradient shape {g.shape} does not match parameter {p.shape}")
-        acc += g
+    for i, (acc, g, p) in enumerate(zip(state.accum, grads, params)):
+        sparse = i == 0 and rows0 is not None
+        want = (len(rows0), *p.shape[1:]) if sparse else p.shape
+        if g.shape != want:
+            raise DimensionError(f"gradient shape {g.shape} does not match {want}")
+        acc[rows0 if sparse else ...] += g
     state.accum_count += 1
     if state.accum_count < state.accumulation_period:
         return False
@@ -179,23 +188,26 @@ def adam_accumulate_and_step(
     state.t += 1
     bc1 = 1.0 - state.beta1**state.t
     bc2 = 1.0 - state.beta2**state.t
-    for p, m, v, acc in zip(params, state.m, state.v, state.accum):
-        # in place: acc becomes the averaged gradient, then the step, then
-        # zero again; scratch holds the other temporaries in turn
-        scratch = np.empty_like(p)
-        g = np.divide(acc, state.accumulation_period, out=acc)
-        m *= state.beta1
-        m += np.multiply(g, 1.0 - state.beta1, out=scratch)
-        v *= state.beta2
-        np.square(g, out=scratch)
-        v += np.multiply(scratch, 1.0 - state.beta2, out=scratch)
-        denom = np.sqrt(np.divide(v, bc2, out=scratch), out=scratch)
-        denom += state.eps
-        step = np.divide(m, bc1, out=acc)
-        step *= state.lr
-        step /= denom
-        p -= step
-        acc[...] = 0.0
+    for arrays in zip(params, state.m, state.v, state.accum):
+        block = max(1, ADAM_BLOCK_BYTES * len(arrays[0]) // max(arrays[0].nbytes, 1))
+        for lo in range(0, len(arrays[0]), block):
+            p, m, v, acc = (a[lo : lo + block] for a in arrays)
+            # in place: acc becomes the averaged gradient, then the step, then
+            # zero again; scratch holds the other temporaries in turn
+            scratch = np.empty_like(p)
+            g = np.divide(acc, state.accumulation_period, out=acc)
+            m *= state.beta1
+            m += np.multiply(g, 1.0 - state.beta1, out=scratch)
+            v *= state.beta2
+            np.square(g, out=scratch)
+            v += np.multiply(scratch, 1.0 - state.beta2, out=scratch)
+            denom = np.sqrt(np.divide(v, bc2, out=scratch), out=scratch)
+            denom += state.eps
+            step = np.divide(m, bc1, out=acc)
+            step *= state.lr
+            step /= denom
+            p -= step
+            acc[...] = 0.0
     state.accum_count = 0
     return True
 

@@ -12,15 +12,19 @@ DenseNet.forward/backward one trajectory at a time. enumerate_terminals
 instead forces every action row through one batch rollout, so it enumerates
 the mask the sampler draws from.
 
-rollout_activations, adam_accumulate_and_step_reference,
-greedy_color_reference, sample_batch_reference and terminal_metrics_row keep
-the straightforward forms of code the package now does faster: activations
-rebuilt from actions (the loss reuses the rollout's), the Adam update with
-temporaries (the package's runs in place), greedy coloring with a Python set
-per vertex (the package's uses a blocked-color matrix), masks that read every
-later neighbor's blocked colors and per-row W0 gathers (the package's count
-blocked colors and add rows of a per-step delta table), and one row's m_est
-and reward (the package's take a whole batch in one bincount).
+rollout_activations, input_layer_grad_dense,
+adam_accumulate_and_step_reference, greedy_color_reference,
+sample_batch_reference and terminal_metrics_row keep the straightforward
+forms of code the package now does faster: activations rebuilt from actions
+(the loss reuses the rollout's), the input layer's gradient as one dense
+array (the loss returns only the rows it touches), the Adam update with
+dense temporaries (the package's runs in place, block by block), greedy
+coloring with a Python set per vertex (the package's uses a blocked-color
+matrix), masks that read every later neighbor's blocked colors and per-row
+W0 gathers (the package's count blocked colors and add rows of a per-step
+delta table), and one row's m_est and reward (the package's take a whole
+batch in one bincount). flow_matching_loss_and_delta exposes the layer-1
+gradient that input_layer_grad_dense needs.
 """
 import itertools
 
@@ -235,8 +239,51 @@ def rollout_activations(net, mdp, actions):
     return out.reshape(batch, n, -1), [h.reshape(batch, n, -1) for h in hidden]
 
 
-def adam_accumulate_and_step_reference(state, params, grads):
-    """The Adam update with accumulation, written with array temporaries."""
+def flow_matching_loss_and_delta(net, mdp, actions, *args):
+    """gflownet.flow_matching_loss's result, plus a copy of the gradient at
+    the layer-1 preactivations (B, n, h1) that its backward pass returned."""
+    captured = []
+    backward = net.backward_to_pre
+
+    def spy(hidden, gout):
+        grads, delta = backward(hidden, gout)
+        captured.append(delta.copy())
+        return grads, delta
+
+    net.backward_to_pre = spy
+    try:
+        result = gflownet.flow_matching_loss(net, mdp, actions, *args)
+    finally:
+        del net.backward_to_pre
+    return result, captured[0].reshape(*actions.shape, -1)
+
+
+def input_layer_grad_dense(net, mdp, actions, delta):
+    """The input layer's weight gradient as one array shaped like W0, from
+    the gradient delta (B, n, h1) at the layer-1 preactivations: prefix sums
+    on the uncolored rows, one step on the cursor rows, and each trajectory's
+    suffix sums added to its colored rows in ascending b, starting from 0.0."""
+    batch, n = actions.shape
+    cap = mdp.color_cap
+    order = mdp.vertex_order
+    per_step = delta.sum(axis=0)
+    suffix = np.flip(np.cumsum(np.flip(delta[:, 1:], axis=1), axis=1), axis=1)
+    dw0 = np.zeros_like(net.weights[0])
+    dw0[order * (cap + 1)] = np.cumsum(per_step, axis=0)
+    dw0[n * (cap + 1) + order] = per_step
+    colored = order[:-1] * (cap + 1) + actions[:, :-1] + 1
+    for b in range(batch):
+        dw0[colored[b]] += suffix[b]
+    return dw0
+
+
+def adam_accumulate_and_step_reference(state, params, grads, rows0=None):
+    """The Adam update with accumulation, written with array temporaries;
+    with rows0, grads[0] is scattered into a dense zero array first."""
+    if rows0 is not None:
+        dense = np.zeros_like(params[0])
+        dense[rows0] = grads[0]
+        grads = [dense, *grads[1:]]
     for acc, g in zip(state.accum, grads):
         acc += g
     state.accum_count += 1

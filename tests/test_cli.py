@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pauliflow
 from pauliflow.cli import main
 from pauliflow.gflownet import TrainConfig, train
 from pauliflow.graphs import Coloring, build_complement_graph, validate_coloring
@@ -125,6 +130,15 @@ class TestGroup:
 
 BAD_INPUTS = {
     "epsilon-0": (["group", "--input", H2, "--mode", "fc", "--method", "full", "--epsilon", "0"], "epsilon"),
+    # an epsilon whose m_est is 0, NaN or infinite is rejected whatever the method
+    "epsilon-inf": (["group", "--input", H2, "--mode", "fc", "--method", "greedy-lf", "--epsilon", "inf"], "epsilon"),
+    "epsilon-nan": (["group", "--input", H2, "--mode", "fc", "--method", "full", "--epsilon", "nan"], "epsilon"),
+    "epsilon-1e-300": (["group", "--input", H2, "--mode", "fc", "--method", "greedy-lf", "--epsilon", "1e-300"], "epsilon"),
+    "gflownet-epsilon-inf": (["group", "--input", H2, "--mode", "fc", "--method", "gflownet", "--epsilon", "inf"], "epsilon"),
+    "compare-epsilon-inf": (["compare", "--input", H2, "--mode", "fc", "--methods", "full,greedy-lf", "--epsilon", "inf"], "epsilon"),
+    "compare-epsilon-nan": (["compare", "--input", H2, "--mode", "fc", "--methods", "full,greedy-lf", "--epsilon", "nan"], "epsilon"),
+    "compare-epsilon-1e-300": (["compare", "--input", H2, "--mode", "fc", "--methods", "full,greedy-lf", "--epsilon", "1e-300"], "epsilon"),
+    "lambda0-inf": (["group", "--input", H2, "--mode", "fc", "--method", "gflownet", "--lambda0", "inf"], "lambda0"),
     "lambda0-negative": (["group", "--input", H2, "--mode", "fc", "--method", "gflownet", "--lambda0", "-1"], "lambda0"),
     "iterations-0": (["group", "--input", H2, "--mode", "fc", "--method", "gflownet", "--iterations", "0"], "iterations"),
     "traj-per-iter-0": (["group", "--input", H2, "--mode", "fc", "--method", "gflownet", "--traj-per-iter", "0"], "trajectories"),
@@ -151,6 +165,8 @@ BAD_INPUTS = {
     "export-graph-epsilon-0": (["export-graph", "--input", "/nonexistent.ham", "--mode", "fc", "--coloring", "/nonexistent.json", "--out", "NODIR/g.dot", "--epsilon", "0"], "epsilon"),
     "export-graph-epsilon-negative": (["export-graph", "--input", "/nonexistent.ham", "--mode", "fc", "--coloring", "/nonexistent.json", "--out", "NODIR/g.dot", "--epsilon", "-1"], "epsilon"),
     "export-graph-epsilon-nan": (["export-graph", "--input", "/nonexistent.ham", "--mode", "fc", "--coloring", "/nonexistent.json", "--out", "NODIR/g.dot", "--epsilon", "nan"], "epsilon"),
+    "export-graph-epsilon-inf": (["export-graph", "--input", "/nonexistent.ham", "--mode", "fc", "--coloring", "/nonexistent.json", "--out", "NODIR/g.dot", "--epsilon", "inf"], "epsilon"),
+    "export-graph-epsilon-1e-300": (["export-graph", "--input", "/nonexistent.ham", "--mode", "fc", "--coloring", "/nonexistent.json", "--out", "NODIR/g.dot", "--epsilon", "1e-300"], "epsilon"),
     # an output file's directory is checked before any input is read or method run
     "out-no-dir": (["group", "--input", H2, "--mode", "fc", "--method", "full", "--out", "NODIR/r.json"], "cannot write"),
     "checkpoint-no-dir": (["group", "--input", "/nonexistent.ham", "--mode", "fc", "--method", "gflownet", "--checkpoint", "NODIR/c.npz"], "cannot write"),
@@ -195,6 +211,26 @@ def test_bad_input_exits_2_with_error_line(capsys, tmp_path, case):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and message in err
+
+
+def run_module(*argv):
+    """`python -m pauliflow ARGV` in a child process that finds this package."""
+    src = str(Path(pauliflow.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "pauliflow", *argv],
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": path},
+    )
+
+
+def test_python_m_pauliflow_runs_the_cli():
+    done = run_module("--help")
+    assert done.returncode == 0, done.stderr
+    assert "export-graph" in done.stdout
+    done = run_module("group", "--input", H2, "--mode", "fc", "--method", "greedy-lf", "--epsilon", "inf")
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.startswith("error: ") and "epsilon" in done.stderr
 
 
 class TestCompare:

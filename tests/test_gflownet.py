@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,8 +7,10 @@ from oracles import (
     color_of,
     encode_state,
     enumerate_terminals,
+    flow_matching_loss_and_delta,
     flow_matching_loss_dense,
     forced_rollout,
+    input_layer_grad_dense,
     legal_actions,
     legal_rows,
     rollout_activations,
@@ -39,7 +43,7 @@ from pauliflow.graphs import (
 )
 from pauliflow.hamio import bundled_path, load_hamiltonian, loads_hamiltonian
 from pauliflow.measurement import MeasurementConfig, estimate_measurements
-from pauliflow.nn import DenseNet
+from pauliflow.nn import ADAM_BLOCK_BYTES, DenseNet
 from pauliflow.pauli import PauliWord, QubitHamiltonian
 
 
@@ -58,10 +62,17 @@ def random_graph(n, p, seed):
 
 def loss_of(net, mdp, actions, masks, rewards):
     """flow_matching_loss on activations rebuilt from the actions at the
-    net's current parameters."""
+    net's current parameters: (loss, grads, rows of W0 that grads[0] holds)."""
     return flow_matching_loss(
         net, mdp, actions, masks, rewards, *rollout_activations(net, mdp, actions)
     )
+
+
+def densify(net, grads, rows0):
+    """grads with the row-sparse input-layer block scattered into zeros."""
+    dw0 = np.zeros_like(net.weights[0])
+    dw0[rows0] = grads[0]
+    return [dw0, *grads[1:]]
 
 
 def sample_batch(net, mdp, rng, batch, hamiltonian=None, measurement=MeasurementConfig()):
@@ -379,7 +390,7 @@ class TestSparseInputFastPath:
     def test_l1_grads_match_dense(self, seed):
         mdp, net, actions, masks, _ = self.trajectory_and_encodings(seed)
         rewards = np.array([0.5 + seed])
-        _, grads = loss_of(net, mdp, actions[None], masks[None], rewards)
+        grads = densify(net, *loss_of(net, mdp, actions[None], masks[None], rewards)[1:])
         _, dense = flow_matching_loss_dense(net, mdp, actions[None], rewards)
         assert np.allclose(grads[0], dense[0], atol=1e-12)
         assert np.allclose(grads[1], dense[1], atol=1e-12)
@@ -411,12 +422,12 @@ class TestSparseInputFastPath:
             for kept, dense in zip(rollout.hidden, dense_hidden, strict=True):
                 assert np.allclose(kept[b], dense, rtol=0, atol=1e-10)
         rewards = rng.uniform(0.1, 5.0, size=6)
-        loss, grads = flow_matching_loss(
+        loss, grads, rows0 = flow_matching_loss(
             net, mdp, rollout.actions, rollout.masks, rewards, rollout.log_flows, rollout.hidden
         )
         dense_loss, dense_grads = flow_matching_loss_dense(net, mdp, rollout.actions, rewards)
         assert loss == pytest.approx(dense_loss, rel=1e-10)
-        assert max_relative_error(grads, dense_grads) < 1e-10
+        assert max_relative_error(densify(net, grads, rows0), dense_grads) < 1e-10
 
     @pytest.mark.parametrize("n_vertices, p, seed", [(12, 0.5, 0), (24, 0.3, 3), (30, 0.3, 2), (30, 0.3, 3)])
     def test_matches_reference_rollout(self, n_vertices, p, seed):
@@ -469,7 +480,7 @@ class TestFlowMatchingLoss:
 
         rng = np.random.Generator(np.random.PCG64(0))
         batch = sample_batch(net, mdp, rng, 4, hamiltonian=h, measurement=cfg)
-        loss, grads = loss_of(net, mdp, *batch)
+        loss, _, _ = loss_of(net, mdp, *batch)
         assert loss == pytest.approx(0.0, abs=1e-15)
 
     def test_loss_nonnegative_and_grads_shaped(self):
@@ -482,9 +493,11 @@ class TestFlowMatchingLoss:
         )
         net = DenseNet.initialize([mdp.encoding_dim, 12, cap], seed=3)
         rng = np.random.Generator(np.random.PCG64(3))
-        loss, grads = loss_of(net, mdp, *sample_batch(net, mdp, rng, 3, hamiltonian=h))
+        loss, grads, rows0 = loss_of(net, mdp, *sample_batch(net, mdp, rng, 3, hamiltonian=h))
         assert loss >= 0.0
-        for g_arr, p in zip(grads, net.parameters()):
+        assert np.unique(rows0).size == rows0.size
+        assert grads[0].shape == (rows0.size, net.weights[0].shape[1])
+        for g_arr, p in zip(grads[1:], net.parameters()[1:], strict=True):
             assert g_arr.shape == p.shape
 
     def test_loss_gradient_matches_finite_differences(self):
@@ -498,19 +511,32 @@ class TestFlowMatchingLoss:
         net = DenseNet.initialize([mdp.encoding_dim, 6, cap], seed=7)
         rng = np.random.Generator(np.random.PCG64(7))
         batch = sample_batch(net, mdp, rng, 3, hamiltonian=h)
-        _, grads = loss_of(net, mdp, *batch)
+        grads = densify(net, *loss_of(net, mdp, *batch)[1:])
         step = 1e-6
         for p, g_arr in zip(net.parameters(), grads):
             flat, gflat = p.reshape(-1), g_arr.reshape(-1)
             for i in range(0, flat.size, max(1, flat.size // 5)):
                 original = flat[i]
                 flat[i] = original + step
-                plus, _ = loss_of(net, mdp, *batch)
+                plus, _, _ = loss_of(net, mdp, *batch)
                 flat[i] = original - step
-                minus, _ = loss_of(net, mdp, *batch)
+                minus, _, _ = loss_of(net, mdp, *batch)
                 flat[i] = original
                 numeric = (plus - minus) / (2 * step)
                 assert numeric == pytest.approx(gflat[i], rel=2e-4, abs=1e-7)
+
+    @staticmethod
+    def loss_matching_dense_construction(net, mdp, actions, masks, rewards):
+        """loss_of, after checking that its row block of the input layer's
+        gradient, scattered into zeros, is bit for bit the dense gradient
+        built from the same layer-1 gradient."""
+        activations = rollout_activations(net, mdp, actions)
+        result, delta = flow_matching_loss_and_delta(net, mdp, actions, masks, rewards, *activations)
+        _, grads, rows0 = result
+        assert np.unique(rows0).size == rows0.size < net.weights[0].shape[0]
+        dense = input_layer_grad_dense(net, mdp, actions, delta)
+        assert np.array_equal(densify(net, grads, rows0)[0], dense)
+        return result
 
     @pytest.mark.parametrize(
         "n_vertices, hidden, batch",
@@ -525,10 +551,10 @@ class TestFlowMatchingLoss:
         rng = np.random.Generator(np.random.PCG64(seed))
         actions, masks, _ = sample_batch(net, mdp, rng, batch)
         rewards = rng.uniform(0.1, 5.0, size=batch)
-        loss, grads = loss_of(net, mdp, actions, masks, rewards)
+        loss, grads, rows0 = self.loss_matching_dense_construction(net, mdp, actions, masks, rewards)
         dense_loss, dense_grads = flow_matching_loss_dense(net, mdp, actions, rewards)
         assert loss == pytest.approx(dense_loss, rel=1e-10)
-        assert max_relative_error(grads, dense_grads) < 1e-10
+        assert max_relative_error(densify(net, grads, rows0), dense_grads) < 1e-10
 
     def test_matches_dense_oracle_on_h2(self):
         h = load_hamiltonian(bundled_path("h2_sto3g_1A_jw.ham"))
@@ -537,10 +563,10 @@ class TestFlowMatchingLoss:
         net = DenseNet.initialize([mdp.encoding_dim, 16, 16, mdp.color_cap], seed=0)
         rng = np.random.Generator(np.random.PCG64(0))
         actions, masks, rewards = sample_batch(net, mdp, rng, 4, hamiltonian=h)
-        loss, grads = loss_of(net, mdp, actions, masks, rewards)
+        loss, grads, rows0 = self.loss_matching_dense_construction(net, mdp, actions, masks, rewards)
         dense_loss, dense_grads = flow_matching_loss_dense(net, mdp, actions, rewards)
         assert loss == pytest.approx(dense_loss, rel=1e-10)
-        assert max_relative_error(grads, dense_grads) < 1e-10
+        assert max_relative_error(densify(net, grads, rows0), dense_grads) < 1e-10
 
 
 def random_proper_assignment(g, rng):
@@ -617,6 +643,36 @@ class TestTerminalMetrics:
 
 
 class TestTraining:
+    def test_iteration_allocates_no_input_layer_sized_temporary(self):
+        """Past the live parameters and Adam's m, v and accumulator, a
+        training iteration's traced peak stays below one copy of W0, Adam
+        steps included. The instance makes W0 (about 3.4 MiB, several Adam
+        row blocks) larger than the recorded activations, so a dense
+        input-layer gradient or a parameter-sized Adam scratch would exceed
+        the bound on its own."""
+        rng = np.random.Generator(np.random.PCG64(0))
+        texts = {"".join(rng.choice(list("IXYZ"), size=8)) for _ in range(60)}
+        h = QubitHamiltonian(8, [(float(rng.normal()), PauliWord.from_text(t)) for t in sorted(texts)])
+        config = TrainConfig(
+            iterations=4,
+            trajectories_per_iteration=2,
+            mask_extra_colors=40,
+            hidden_sizes=(128, 128),
+            accumulation_period=2,
+        )
+        tracemalloc.start()
+        try:
+            sampler = train(h, config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        w0 = sampler.net.weights[0]
+        widths = sum(config.hidden_sizes) + sampler.mdp.color_cap
+        recorded = config.trajectories_per_iteration * h.n_terms * widths * 8
+        assert w0.nbytes > 3 * ADAM_BLOCK_BYTES and w0.nbytes > 4 * recorded
+        parameters = sum(p.nbytes for p in sampler.net.parameters())
+        assert peak - 4 * parameters < w0.nbytes
+
     def test_untrained_single_iteration_emits_valid_colorings(self):
         h = loads_hamiltonian("qubits: 2\n0.5 Z0\n0.4 X0 X1\n0.3 Z0 Z1\n0.2 X0\n")
         sampler = train(h, tiny_config(iterations=1))

@@ -85,6 +85,24 @@ class TestEstimate:
         with pytest.raises(IndexError):
             estimate_measurements(h, Grouping(((0, 3),)))
 
+    @pytest.mark.parametrize("epsilon", [0.0, -1.0, float("inf"), float("nan"), 1e-300, 1e-155])
+    def test_unusable_epsilon_rejected(self, epsilon):
+        """epsilon must be positive and finite, with epsilon**-2 finite."""
+        h = simple_h([0.5], ["Z0"], 1)
+        with pytest.raises(ValueError, match="epsilon"):
+            estimate_measurements(h, Grouping(((0,),)), epsilon=epsilon)
+        with pytest.raises(ValueError, match="epsilon"):
+            MeasurementConfig(epsilon=epsilon)
+
+    @pytest.mark.parametrize("lambda0", [0.0, -1.0, float("inf"), float("nan")])
+    def test_unusable_lambda0_rejected(self, lambda0):
+        with pytest.raises(ValueError, match="lambda0"):
+            MeasurementConfig(lambda0=lambda0)
+
+    def test_smallest_usable_epsilon_gives_finite_estimate(self):
+        h = simple_h([0.5], ["Z0"], 1)
+        assert np.isfinite(estimate_measurements(h, Grouping(((0,),)), epsilon=1e-150))
+
     def test_variance_callback_overrides_bound(self):
         h = simple_h([0.5, 0.3], ["Z0", "Z1"], 2)
         m = estimate_measurements(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pauliflow.nn import (
+    ADAM_BLOCK_BYTES,
     AdamState,
     DenseNet,
     adam_accumulate_and_step,
@@ -193,21 +194,42 @@ class TestAdam:
 
     @pytest.mark.parametrize("period", [1, 10])
     def test_in_place_step_matches_reference_bit_for_bit(self, period):
-        net = DenseNet.initialize([7, 9, 5, 3], seed=period)
+        """W0 spans three row blocks of the step, the last one partial. Calls
+        alternate a dense first gradient with a row-sparse one that touches a
+        random subset of W0's rows outside 300..399. The dense one is zero on
+        those 100 rows, so they never change."""
+        net = DenseNet.initialize([700, 400, 5, 3], seed=period)
+        assert 2 * ADAM_BLOCK_BYTES < net.weights[0].nbytes < 3 * ADAM_BLOCK_BYTES
+        untouched = net.weights[0][300:400].copy()
         ref_net = net.copy()
         state = AdamState.for_net(net, lr=1e-2, accumulation_period=period)
         ref = AdamState.for_net(ref_net, lr=1e-2, accumulation_period=period)
         rng = np.random.Generator(np.random.PCG64(period))
-        for _ in range(3 * period + 4):
+        for call in range(3 * period + 4):
             grads = [rng.normal(scale=10.0, size=p.shape) for p in net.parameters()]
-            stepped = adam_accumulate_and_step(state, net.parameters(), grads)
-            assert stepped == adam_accumulate_and_step_reference(ref, ref_net.parameters(), grads)
+            grads[0][300:400] = 0.0
+            rows0 = None
+            if call % 2:
+                rows0 = rng.choice(np.r_[:300, 400:700], size=250, replace=False)
+                grads[0] = rng.normal(scale=10.0, size=(250, 400))
+            stepped = adam_accumulate_and_step(state, net.parameters(), grads, rows0)
+            want = adam_accumulate_and_step_reference(ref, ref_net.parameters(), grads, rows0)
+            assert stepped == want
             mine = net.parameters() + state.m + state.v + state.accum
             theirs = ref_net.parameters() + ref.m + ref.v + ref.accum
             for a, b in zip(mine, theirs, strict=True):
                 assert np.array_equal(a, b)
             assert (state.t, state.accum_count) == (ref.t, ref.accum_count)
         assert state.t >= 3  # several real steps compared
+        assert np.array_equal(net.weights[0][300:400], untouched)
+
+    def test_row_sparse_gradient_shape_mismatch(self):
+        net = DenseNet.initialize([6, 4, 2], seed=0)
+        state = AdamState.for_net(net)
+        grads = [np.zeros((3, 4))] + [np.zeros_like(p) for p in net.parameters()[1:]]
+        with pytest.raises(DimensionError):
+            adam_accumulate_and_step(state, net.parameters(), grads, np.array([0, 1]))
+        adam_accumulate_and_step(state, net.parameters(), grads, np.array([0, 1, 5]))
 
     def test_shape_mismatch(self):
         net = DenseNet.initialize([2, 2], seed=0)
