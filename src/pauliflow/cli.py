@@ -3,8 +3,9 @@
 Reports are JSON documents (schema_version 1). With --deterministic the
 timestamp is omitted and wall times are zeroed so identical invocations
 produce byte-identical bytes. Exit codes: 0 success, 2 bad input, flags or
-output path (a missing output directory is caught before any work), 3
-numeric training failure, 4 invalid coloring for export-graph.
+output path (a missing output directory, or an input whose m_est overflows
+at --epsilon, is caught before any work), 3 numeric training failure, 4
+invalid coloring for export-graph.
 """
 from __future__ import annotations
 
@@ -30,7 +31,7 @@ from .graphs import (
     validate_coloring,
 )
 from .hamio import HamiltonianParseError, load_hamiltonian
-from .measurement import MeasurementConfig, estimate_measurements
+from .measurement import MeasurementConfig, batch_metrics, estimate_measurements
 from .nn import NumericError
 
 REPORT_SCHEMA_VERSION = 1
@@ -105,13 +106,23 @@ def _check_output_dirs(*paths: str | None) -> None:
             raise CliInputError(f"cannot write {path}: no directory {Path(path).parent}")
 
 
-def _load_input(path: str):
+def _load_input(path: str, epsilon: float):
+    """The Hamiltonian in path, if it has terms and a finite m_est at epsilon
+    for every grouping: none exceeds the one-term-per-group m_est, since
+    sqrt is subadditive, so that one is checked."""
     try:
-        return load_hamiltonian(path)
+        h = load_hamiltonian(path)
     except FileNotFoundError as err:
         raise CliInputError(f"cannot read {path}: {err}") from err
     except HamiltonianParseError as err:
         raise CliInputError(f"{path}: {err}") from err
+    if h.n_terms == 0:
+        raise CliInputError(f"{path}: no groupable terms")
+    try:
+        batch_metrics(h, np.arange(1, h.n_terms + 1)[None], MeasurementConfig(epsilon=epsilon))
+    except ValueError as err:
+        raise CliInputError(f"{path}: {err}") from err
+    return h
 
 
 def _run_method(h, graph, method: str, args, config: TrainConfig) -> dict:
@@ -171,9 +182,7 @@ def _build_report(args, methods: list[str]) -> dict:
         )
     except ValueError as err:
         raise CliInputError(str(err)) from err
-    h = _load_input(args.input)
-    if h.n_terms == 0:
-        raise CliInputError(f"{args.input}: no groupable terms")
+    h = _load_input(args.input, args.epsilon)
     graph = build_complement_graph(h, args.mode)
     records = [_run_method(h, graph, m, args, config) for m in methods]
     report = {
@@ -281,14 +290,14 @@ def cmd_export_graph(args) -> int:
     except ValueError as err:
         raise CliInputError(str(err)) from err
     _check_output_dirs(args.out)
-    h = _load_input(args.input)
-    if h.n_terms == 0:
-        raise CliInputError(f"{args.input}: no groupable terms")
+    h = _load_input(args.input, args.epsilon)
     graph = build_complement_graph(h, args.mode)
     try:
         payload = json.loads(Path(args.coloring).read_text(encoding="utf-8"))
     except FileNotFoundError as err:
         raise CliInputError(f"cannot read coloring {args.coloring}: {err}") from err
+    except UnicodeDecodeError as err:
+        raise CliInputError(f"{args.coloring}: not UTF-8 text: {err}") from err
     except json.JSONDecodeError as err:
         raise CliInputError(f"{args.coloring}: not valid JSON: {err}") from err
     if isinstance(payload, dict):

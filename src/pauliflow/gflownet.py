@@ -9,7 +9,8 @@ against the total outgoing flow (or the terminal reward).
 The lockstep batch rollout, _BatchRollout, is the only implementation of
 this MDP: train(), TrainedSampler.sample() and so the histogram command all
 run it, its step_masks is the one action mask, and its docstring gives what
-a step costs. _terminal_metrics gives every finished row's m_est and reward.
+a step costs. measurement.batch_metrics gives every finished row's m_est
+and reward.
 
 Actions are colors 1..color_cap. The action mask enforces, in order:
   - properness: no already-colored neighbor holds the candidate color;
@@ -40,7 +41,7 @@ import numpy as np
 
 from .graphs import CompatGraph, Coloring, build_complement_graph, greedy_color
 from .hamio import dump_hamiltonian, loads_hamiltonian
-from .measurement import MeasurementConfig
+from .measurement import MeasurementConfig, batch_metrics
 from .nn import (
     AdamState,
     DenseNet,
@@ -381,7 +382,7 @@ class TrainedSampler:
         return self._best_reward
 
     def _record(self, rollout: _BatchRollout, iteration: int) -> np.ndarray:
-        m_est, rewards, colors = _terminal_metrics(
+        m_est, rewards, colors = batch_metrics(
             self.hamiltonian, rollout.assignments, self.config.measurement
         )
         rows = zip(rollout.assignments, m_est.tolist(), rewards.tolist(), colors.tolist())
@@ -402,7 +403,7 @@ class TrainedSampler:
         if not isinstance(rng, np.random.Generator):
             rng = np.random.Generator(np.random.PCG64(rng))
         rollout, _ = _sample_batch(self.net, self.mdp, n, rng)
-        m_est, rewards, _ = _terminal_metrics(
+        m_est, rewards, _ = batch_metrics(
             self.hamiltonian, rollout.assignments, self.config.measurement
         )
         return [
@@ -465,39 +466,12 @@ class TrainedSampler:
         best = metadata.get("best_assignment")
         if best is not None:
             row = np.asarray(best, dtype=np.int64)
-            m_est, rew, colors = _terminal_metrics(h, row[None], config.measurement)
+            m_est, rew, colors = batch_metrics(h, row[None], config.measurement)
             found = DiscoveredGrouping(row, int(colors[0]), float(m_est[0]), float(rew[0]), -1)
             sampler.discovered[row.tobytes()] = found
             sampler._best = found
             sampler._best_reward = found.reward
         return sampler
-
-
-def _terminal_metrics(
-    h: QubitHamiltonian, assignments: np.ndarray, cfg: MeasurementConfig
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(m_est, reward, color_count), each (B,), of complete rows (B, n) whose
-    colors run 1..color_count: m_est is estimate_measurements' bound and the
-    reward (n_terms - color_count) + lambda0 / m_est.
-
-    One bincount with row offsets sums every row's c^2 per color. m_est keeps
-    the bits of summing one row's nonzero sums alone: a row sums only its
-    first color_count entries (zero padding would regroup numpy's pairwise
-    sum), and float_power squares with libm's pow, as scalar ** does.
-    """
-    batch = assignments.shape[0]
-    colors = assignments.max(axis=1, initial=0)
-    width = int(colors.max(initial=0)) + 1
-    slots = assignments + width * np.arange(batch)[:, None]
-    weights = np.broadcast_to(h.coefficients() ** 2, assignments.shape).ravel()
-    per_color = np.bincount(slots.ravel(), weights=weights, minlength=batch * width)
-    per_color = per_color.reshape(batch, width)[:, 1:]
-    roots = np.empty(batch)
-    for c in set(colors.tolist()):
-        rows = colors == c
-        roots[rows] = np.sqrt(per_color[rows, :c]).sum(axis=1)
-    m_est = np.float_power(roots, 2) / cfg.epsilon**2
-    return m_est, (h.n_terms - colors) + cfg.lambda0 / m_est, colors
 
 
 def train(h: QubitHamiltonian, config: TrainConfig | None = None) -> TrainedSampler:

@@ -6,18 +6,19 @@
     -0.04919764473153209 X0 X1 Y2 Y3
     0.13716573744910343 Z0
 
-One header line, then one term per line: a decimal coefficient followed by
-either sparse Pauli tokens (0-based qubit indices, strictly ascending) or the
-single token "I" for the identity contribution. Terms are parsed by
-PauliWord.from_text, so a dense letter string of the declared width ("XIZY")
-is read as well; writing always uses sparse tokens. "#" lines and blank lines
-are ignored. UTF-8; LF or CRLF accepted on read, LF written. Loading
-canonicalizes (duplicates merged, identity folded into the offset,
+One header line, then one term per line: a finite decimal coefficient
+followed by either sparse Pauli tokens (0-based qubit indices, strictly
+ascending) or the single token "I" for the identity contribution. Terms are
+parsed by PauliWord.from_text, so a dense letter string of the declared width
+("XIZY") is read as well; writing always uses sparse tokens. "#" lines and
+blank lines are ignored. UTF-8; LF or CRLF accepted on read, LF written.
+Loading canonicalizes (duplicates merged, identity folded into the offset,
 sub-tolerance terms pruned), so load(write(h)) == h for canonical h.
 """
 from __future__ import annotations
 
 import io
+import math
 import os
 import re
 from typing import IO, Union
@@ -44,7 +45,11 @@ def _read_text(source: Source) -> str:
     else:
         data = source.read()
     if isinstance(data, bytes):
-        data = data.decode("utf-8")
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as err:
+            line_no = data.count(b"\n", 0, err.start) + 1
+            raise HamiltonianParseError(line_no, f"not UTF-8 ({err.reason})") from None
     return data
 
 
@@ -83,6 +88,8 @@ def load_hamiltonian(source: Source, prune_tol: float = DEFAULT_PRUNE_TOL) -> Qu
             coeff = float(fields[0])
         except ValueError:
             raise HamiltonianParseError(line_no, f"non-numeric coefficient {fields[0]!r}") from None
+        if not math.isfinite(coeff):
+            raise HamiltonianParseError(line_no, f"non-finite coefficient {fields[0]!r}")
         word = _parse_word(fields[1].strip(), n_qubits, line_no)
         if word is None:
             offset += coeff

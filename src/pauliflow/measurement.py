@@ -1,4 +1,4 @@
-"""Measurement-budget estimate for a grouping, and the reward's settings.
+"""Measurement-budget estimate m_est and the sampler's reward.
 
 For a partition of the Hamiltonian terms into compatible groups, the number
 of single-shot measurements needed to reach accuracy epsilon is estimated as
@@ -6,25 +6,23 @@ of single-shot measurements needed to reach accuracy epsilon is estimated as
     m_est = (1 / epsilon^2) * (sum_g sqrt(sum_{j in g} c_j^2))^2
 
 which substitutes the covariance-free bound Var <= sum c^2 into the exact
-shot-allocation formula (1/eps^2)(sum_g sqrt(Var_g))^2. A user-supplied
-per-group variance callback can replace the bound when a wavefunction-based
-estimate is available.
-
-The sampler reward trades group count against the measurement estimate:
+shot-allocation formula (1/eps^2)(sum_g sqrt(Var_g))^2. The sampler reward
+trades group count against the measurement estimate:
 
     reward = (n_terms - max_color) + lambda0 / m_est
 
+batch_metrics is the one implementation of both, for a batch of assignment
+rows (term j in group assignments[b, j]) at once: the sampler runs it on its
+rollouts, and estimate_measurements on the one row a Grouping gives.
+
 MeasurementConfig holds epsilon and lambda0, both positive and finite, with
-epsilon**-2 finite too, so that m_est and the reward are numbers. The
-sampler computes m_est and the reward itself, for a whole batch of
-assignment rows at once, in gflownet._terminal_metrics; tests pin its m_est
-to estimate_measurements.
+epsilon**2 and epsilon**-2 finite too. Large coefficients or a small epsilon
+can still overflow m_est, which batch_metrics rejects.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 import numpy as np
 
@@ -44,42 +42,61 @@ class MeasurementConfig:
     lambda0: float = 1e6
 
     def __post_init__(self):
-        try:  # m_est divides by epsilon**2, so epsilon**-2 must not overflow
-            usable = 0 < self.epsilon < math.inf and math.isfinite(float(self.epsilon) ** -2)
+        eps = float(self.epsilon)
+        try:  # m_est divides by epsilon**2, so neither it nor epsilon**-2 may overflow
+            usable = 0 < eps < math.inf and math.isfinite(eps**2 + eps**-2)
         except OverflowError:
             usable = False
         if not usable:
-            raise ValueError(f"epsilon and epsilon**-2 must be positive and finite, got {self.epsilon}")
+            raise ValueError(f"epsilon, epsilon**2, epsilon**-2 must be positive and finite, got {eps}")
         if not 0 < self.lambda0 < math.inf:
             raise ValueError(f"lambda0 must be positive and finite, got {self.lambda0}")
 
 
-GroupVariance = Callable[[Sequence[int]], float]
+def batch_metrics(
+    h: QubitHamiltonian, assignments: np.ndarray, cfg: MeasurementConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(m_est, reward, color_count), each (B,), of complete rows (B, n) whose
+    colors run 1..color_count; a term of color 0 is in no group.
+
+    One bincount with row offsets sums every row's c^2 per color. m_est keeps
+    the bits of summing one row's nonzero sums alone: a row sums only its
+    first color_count entries (zero padding would regroup numpy's pairwise
+    sum), and float_power squares with libm's pow, as scalar ** does.
+    Raises ValueError if any m_est overflows.
+    """
+    batch = assignments.shape[0]
+    colors = assignments.max(axis=1, initial=0)
+    width = int(colors.max(initial=0)) + 1
+    slots = assignments + width * np.arange(batch)[:, None]
+    with np.errstate(over="ignore"):  # an overflow is reported below
+        weights = np.broadcast_to(h.coefficients() ** 2, assignments.shape).ravel()
+        per_color = np.bincount(slots.ravel(), weights=weights, minlength=batch * width)
+        per_color = per_color.reshape(batch, width)[:, 1:]
+        roots = np.empty(batch)
+        for c in set(colors.tolist()):
+            rows = colors == c
+            roots[rows] = np.sqrt(per_color[rows, :c]).sum(axis=1)
+        m_est = np.float_power(roots, 2) / cfg.epsilon**2
+    if not np.all(np.isfinite(m_est)):
+        raise ValueError(f"m_est overflows: coefficients too large for epsilon {cfg.epsilon}")
+    return m_est, (h.n_terms - colors) + cfg.lambda0 / m_est, colors
 
 
 def estimate_measurements(
-    h: QubitHamiltonian,
-    grouping: Grouping,
-    epsilon: float = CHEMICAL_ACCURACY_HA,
-    group_variance: GroupVariance | None = None,
+    h: QubitHamiltonian, grouping: Grouping, epsilon: float = CHEMICAL_ACCURACY_HA
 ) -> float:
-    """Estimated shots to reach accuracy epsilon with one circuit per group.
-
-    group_variance, when given, maps a group's term indices to Var of that
-    fragment and overrides the default bound sum(c^2).
-    """
-    MeasurementConfig(epsilon=epsilon)  # raises ValueError on an unusable epsilon
+    """Estimated shots to reach accuracy epsilon with one circuit per group:
+    batch_metrics' m_est of the row that gives group k color k + 1."""
+    cfg = MeasurementConfig(epsilon=epsilon)  # raises ValueError on an unusable epsilon
     if grouping.n_groups == 0:
         raise EmptyGroupingError("grouping has no groups")
-    coeffs = h.coefficients()
-    total = 0.0
-    for group in grouping.groups:
+    row = np.zeros(h.n_terms, dtype=np.int64)
+    for color, group in enumerate(grouping.groups, start=1):
         for j in group:
             if not 0 <= j < h.n_terms:
                 raise IndexError(f"group references term {j}, Hamiltonian has {h.n_terms}")
-        if group_variance is not None:
-            var = float(group_variance(group))
-        else:
-            var = float(np.sum(coeffs[list(group)] ** 2))
-        total += np.sqrt(var)
-    return float(total**2 / epsilon**2)
+            if row[j]:
+                raise ValueError(f"term {j} is in two groups")
+            row[j] = color
+    return float(batch_metrics(h, row[None], cfg)[0][0])

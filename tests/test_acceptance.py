@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from pauliflow.cli import main as cli_main
-from pauliflow.gflownet import TrainConfig, _terminal_metrics, train
+from pauliflow.gflownet import TrainConfig, train
 from pauliflow.graphs import (
     CompatGraph,
     Grouping,
@@ -25,7 +25,7 @@ from pauliflow.graphs import (
     validate_coloring,
 )
 from pauliflow.hamio import bundled_path, load_hamiltonian, loads_hamiltonian
-from pauliflow.measurement import MeasurementConfig, estimate_measurements
+from pauliflow.measurement import MeasurementConfig, batch_metrics, estimate_measurements
 from pauliflow.nn import DenseNet
 from pauliflow.pauli import PauliWord, QubitHamiltonian, commutes_fc, commutes_qwc
 
@@ -274,7 +274,7 @@ def test_criterion_6_distribution_fidelity():
     sampler = train(h, config)
     final_loss = sampler.log[-1].mean_loss
     terminals = enumerate_terminals(sampler.mdp)
-    _, terminal_rewards, _ = _terminal_metrics(h, terminals, config.measurement)
+    _, terminal_rewards, _ = batch_metrics(h, terminals, config.measurement)
     rewards = {a.tobytes(): r for a, r in zip(terminals, terminal_rewards.tolist())}
     z = sum(rewards.values())
     n = 100_000

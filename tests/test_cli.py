@@ -134,6 +134,7 @@ BAD_INPUTS = {
     "epsilon-inf": (["group", "--input", H2, "--mode", "fc", "--method", "greedy-lf", "--epsilon", "inf"], "epsilon"),
     "epsilon-nan": (["group", "--input", H2, "--mode", "fc", "--method", "full", "--epsilon", "nan"], "epsilon"),
     "epsilon-1e-300": (["group", "--input", H2, "--mode", "fc", "--method", "greedy-lf", "--epsilon", "1e-300"], "epsilon"),
+    "epsilon-1e200": (["group", "--input", H2, "--mode", "fc", "--method", "full", "--epsilon", "1e200"], "epsilon"),
     "gflownet-epsilon-inf": (["group", "--input", H2, "--mode", "fc", "--method", "gflownet", "--epsilon", "inf"], "epsilon"),
     "compare-epsilon-inf": (["compare", "--input", H2, "--mode", "fc", "--methods", "full,greedy-lf", "--epsilon", "inf"], "epsilon"),
     "compare-epsilon-nan": (["compare", "--input", H2, "--mode", "fc", "--methods", "full,greedy-lf", "--epsilon", "nan"], "epsilon"),
@@ -175,6 +176,30 @@ BAD_INPUTS = {
     "export-graph-out-no-dir": (["export-graph", "--input", "/nonexistent.ham", "--mode", "fc", "--coloring", "/nonexistent.json", "--out", "NODIR/g.dot"], "cannot write"),
     # a destination that exists but cannot be written fails at write time
     "out-is-directory": (["group", "--input", H2, "--mode", "fc", "--method", "full", "--out", "TMPDIR"], "Is a directory"),
+    # an m_est that overflows is caught before any method runs, training included
+    "m-est-overflow-full": (["group", "--input", H4, "--mode", "fc", "--method", "full", "--epsilon", "1e-154"], "m_est overflows"),
+    "m-est-overflow-greedy-lf": (["group", "--input", H4, "--mode", "fc", "--method", "greedy-lf", "--epsilon", "1e-154"], "m_est overflows"),
+    "m-est-overflow-gflownet": (["group", "--input", H4, "--mode", "fc", "--method", "gflownet", "--iterations", "1", "--epsilon", "1e-154"], "m_est overflows"),
+    "m-est-overflow-export-graph": (["export-graph", "--input", H4, "--mode", "fc", "--coloring", "/nonexistent.json", "--out", "TMPDIR/g.dot", "--epsilon", "1e-154"], "m_est overflows"),
+    "m-est-overflow-coefficients": (["group", "--input", "HUGE.ham", "--mode", "fc", "--method", "full"], "m_est overflows"),
+    # files the parser rejects, with the line at fault
+    "nan-term": (["group", "--input", "NAN_TERM.ham", "--mode", "fc", "--method", "full"], "line 2: non-finite"),
+    "inf-term": (["group", "--input", "INF_TERM.ham", "--mode", "fc", "--method", "full"], "line 3: non-finite"),
+    "1e999-term": (["group", "--input", "OVERFLOW_TERM.ham", "--mode", "fc", "--method", "full"], "line 2: non-finite"),
+    "nan-identity": (["group", "--input", "NAN_IDENTITY.ham", "--mode", "fc", "--method", "full"], "line 2: non-finite"),
+    "non-utf8-input": (["group", "--input", "NON_UTF8.ham", "--mode", "fc", "--method", "full"], "line 3: not UTF-8"),
+    "non-utf8-coloring": (["export-graph", "--input", H2, "--mode", "fc", "--coloring", "NON_UTF8.json", "--out", "TMPDIR/g.dot"], "not UTF-8"),
+}
+
+# input files of the cases above, written into the test's directory under these names
+BAD_FILES = {
+    "HUGE.ham": b"qubits: 1\n1e300 Z0\n1e300 X0\n",
+    "NAN_TERM.ham": b"qubits: 2\nnan Z0\n0.3 X1\n",
+    "INF_TERM.ham": b"qubits: 2\n0.3 X1\ninf Z0\n",
+    "OVERFLOW_TERM.ham": b"qubits: 2\n1e999 Z0\n",
+    "NAN_IDENTITY.ham": b"qubits: 2\nnan I\n0.3 X1\n",
+    "NON_UTF8.ham": b"qubits: 2\n0.5 Z0\n0.3 X\xff1\n",
+    "NON_UTF8.json": b"[1, \xff]",
 }
 
 
@@ -182,8 +207,13 @@ BAD_INPUTS = {
 def test_bad_input_exits_2_with_error_line(capsys, tmp_path, case):
     argv, message = BAD_INPUTS[case]
     # NODIR/<file> lies in a directory that does not exist; TMPDIR is a directory
+    # and TMPDIR/<file> a new file in it
     argv = [str(tmp_path / "nodir" / arg[6:]) if arg.startswith("NODIR/") else arg for arg in argv]
     argv = [str(tmp_path) if arg == "TMPDIR" else arg for arg in argv]
+    argv = [str(tmp_path / arg[7:]) if arg.startswith("TMPDIR/") else arg for arg in argv]
+    for name in set(argv) & BAD_FILES.keys():
+        (tmp_path / name).write_bytes(BAD_FILES[name])
+        argv = [str(tmp_path / name) if arg == name else arg for arg in argv]
     if "FOREIGN_NPZ" in argv:  # an .npz archive that pauliflow did not write
         foreign = tmp_path / "x.npz"
         np.savez(foreign, a=np.zeros(3))

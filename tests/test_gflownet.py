@@ -7,6 +7,7 @@ from oracles import (
     color_of,
     encode_state,
     enumerate_terminals,
+    estimate_measurements_oracle,
     flow_matching_loss_and_delta,
     flow_matching_loss_dense,
     forced_rollout,
@@ -27,7 +28,6 @@ from pauliflow.gflownet import (
     _l1_start,
     _l1_step,
     _sample_batch,
-    _terminal_metrics,
     flow_matching_loss,
     train,
     training_log_csv,
@@ -42,7 +42,7 @@ from pauliflow.graphs import (
     validate_coloring,
 )
 from pauliflow.hamio import bundled_path, load_hamiltonian, loads_hamiltonian
-from pauliflow.measurement import MeasurementConfig, estimate_measurements
+from pauliflow.measurement import MeasurementConfig, batch_metrics, estimate_measurements
 from pauliflow.nn import ADAM_BLOCK_BYTES, DenseNet
 from pauliflow.pauli import PauliWord, QubitHamiltonian
 
@@ -81,7 +81,7 @@ def sample_batch(net, mdp, rng, batch, hamiltonian=None, measurement=Measurement
     rollout, _ = _sample_batch(net, mdp, batch, rng)
     rewards = np.ones(batch)
     if hamiltonian is not None:
-        _, rewards, _ = _terminal_metrics(hamiltonian, rollout.assignments, measurement)
+        _, rewards, _ = batch_metrics(hamiltonian, rollout.assignments, measurement)
     return rollout.actions, rollout.masks, rewards
 
 
@@ -301,7 +301,7 @@ class TestSampling:
         net = DenseNet.initialize([mdp.encoding_dim, 4, 1], seed=0)
         rng = np.random.Generator(np.random.PCG64(0))
         rollout, _ = _sample_batch(net, mdp, 1, rng)
-        _, rewards, _ = _terminal_metrics(h, rollout.assignments, MeasurementConfig())
+        _, rewards, _ = batch_metrics(h, rollout.assignments, MeasurementConfig())
         assert list(rollout.assignments[0]) == [1]
         assert rewards[0] > 0
 
@@ -591,16 +591,17 @@ def random_hamiltonian(rng, n_qubits=3):
 
 
 class TestTerminalMetrics:
-    """The sampler computes m_est and reward itself, for a batch of assignment
-    rows at once; m_est must equal measurement.py's estimate_measurements, and
-    every row must get the bits of the one-row arithmetic."""
+    """batch_metrics gives m_est and reward for a batch of assignment rows at
+    once; m_est must match the direct transcription in oracles.py, and every
+    row must get the bits of the one-row arithmetic."""
 
     def check(self, h, g, assignments, rng):
         cfg = MeasurementConfig(epsilon=float(rng.uniform(1e-3, 0.1)), lambda0=float(rng.uniform(1.0, 1e6)))
-        m_est, rew, colors = _terminal_metrics(h, assignments, cfg)
+        m_est, rew, colors = batch_metrics(h, assignments, cfg)
         for b, assignment in enumerate(assignments):
             coloring = Coloring(assignment)
-            want = estimate_measurements(h, coloring_to_grouping(g, coloring), cfg.epsilon)
+            groups = coloring_to_grouping(g, coloring).groups
+            want = estimate_measurements_oracle(h.coefficients(), groups, cfg.epsilon)
             assert m_est[b] == pytest.approx(want, rel=1e-12, abs=0)
             assert rew[b] == pytest.approx((h.n_terms - coloring.max_color) + cfg.lambda0 / want, rel=1e-12, abs=0)
             assert colors[b] == coloring.max_color
@@ -636,10 +637,29 @@ class TestTerminalMetrics:
             rows.append(rng.permutation(row))
         assignments = np.stack(rows)
         cfg = MeasurementConfig()
-        m_est, rew, colors = _terminal_metrics(h, assignments, cfg)
+        m_est, rew, colors = batch_metrics(h, assignments, cfg)
         assert colors.max() == h.n_terms
         for b, row in enumerate(assignments):
             assert (m_est[b], rew[b], colors[b]) == terminal_metrics_row(h, row, cfg)
+
+
+class TestEstimateMatchesSampler:
+    """A report's m_est, from estimate_measurements on a Grouping, is the
+    sampler's m_est of the same row bit for bit, also on rows of more than 8
+    colors, where a loop over the groups and numpy's pairwise sum of their
+    roots would round differently."""
+
+    def test_h4_qwc_greedy_and_sampled_rows(self):
+        h = load_hamiltonian(bundled_path("h4_chain_sto3g_1A_jw.ham"))
+        sampler = train(h, tiny_config(iterations=1, mode="qwc"))
+        g = sampler.mdp.graph
+        cfg = sampler.config.measurement
+        greedy = [greedy_color(g, s, seed=0) for s in ("largest_first", "dsatur", "random_sequential")]
+        m_greedy, _, _ = batch_metrics(h, np.stack([c.assignment for c in greedy]), cfg)
+        samples = sampler.sample(8, rng=3)
+        assert min(c.max_color for c, _, _ in samples) > 8
+        for coloring, m in [*zip(greedy, m_greedy.tolist()), *((c, m) for c, m, _ in samples)]:
+            assert estimate_measurements(h, coloring_to_grouping(g, coloring), cfg.epsilon) == m
 
 
 class TestTraining:

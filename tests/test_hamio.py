@@ -65,6 +65,11 @@ def test_empty_hamiltonian_dump():
         ("qubits: 2\n0.5 Q0\n", "token"),
         ("qubits: 0\n", "positive"),
         ("", "header"),
+        ("qubits: 2\nnan Z0\n0.3 X1\n", "line 2: non-finite"),
+        ("qubits: 2\n0.3 X1\ninf Z0\n", "line 3: non-finite"),
+        ("qubits: 2\n1e999 Z0\n", "line 2: non-finite"),
+        ("qubits: 2\nnan I\n0.3 X1\n", "line 2: non-finite"),
+        ("qubits: 2\n0.3 X1\n-inf I\n", "line 3: non-finite"),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, fragment):
@@ -75,6 +80,16 @@ def test_parse_errors_carry_line_numbers(text, fragment):
 def test_error_line_number():
     with pytest.raises(HamiltonianParseError, match="line 4"):
         loads_hamiltonian("# c\nqubits: 2\n0.5 Z0\n0.5 Q1\n")
+
+
+def test_non_utf8_byte_names_its_line(tmp_path):
+    data = b"qubits: 2\r\n0.5 Z0\r\n0.3 X\xff1\r\n"
+    with pytest.raises(HamiltonianParseError, match="line 3: not UTF-8"):
+        load_hamiltonian(io.BytesIO(data))
+    p = tmp_path / "h.ham"
+    p.write_bytes(data)
+    with pytest.raises(HamiltonianParseError, match="line 3: not UTF-8"):
+        load_hamiltonian(p)
 
 
 def test_terms_parse_as_pauli_words():

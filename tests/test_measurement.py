@@ -11,8 +11,12 @@ from pauliflow.graphs import (
     greedy_color,
 )
 from pauliflow.hamio import bundled_path, load_hamiltonian, loads_hamiltonian
-from pauliflow.gflownet import _terminal_metrics
-from pauliflow.measurement import EmptyGroupingError, MeasurementConfig, estimate_measurements
+from pauliflow.measurement import (
+    EmptyGroupingError,
+    MeasurementConfig,
+    batch_metrics,
+    estimate_measurements,
+)
 from pauliflow.pauli import PauliWord, QubitHamiltonian
 
 from oracles import estimate_measurements_oracle
@@ -85,9 +89,9 @@ class TestEstimate:
         with pytest.raises(IndexError):
             estimate_measurements(h, Grouping(((0, 3),)))
 
-    @pytest.mark.parametrize("epsilon", [0.0, -1.0, float("inf"), float("nan"), 1e-300, 1e-155])
+    @pytest.mark.parametrize("epsilon", [0.0, -1.0, float("inf"), float("nan"), 1e-300, 1e-155, 1e200])
     def test_unusable_epsilon_rejected(self, epsilon):
-        """epsilon must be positive and finite, with epsilon**-2 finite."""
+        """epsilon must be positive and finite, with epsilon**2 and epsilon**-2 finite."""
         h = simple_h([0.5], ["Z0"], 1)
         with pytest.raises(ValueError, match="epsilon"):
             estimate_measurements(h, Grouping(((0,),)), epsilon=epsilon)
@@ -103,12 +107,17 @@ class TestEstimate:
         h = simple_h([0.5], ["Z0"], 1)
         assert np.isfinite(estimate_measurements(h, Grouping(((0,),)), epsilon=1e-150))
 
-    def test_variance_callback_overrides_bound(self):
+    def test_term_in_two_groups_rejected(self):
         h = simple_h([0.5, 0.3], ["Z0", "Z1"], 2)
-        m = estimate_measurements(
-            h, Grouping(((0, 1),)), epsilon=1.0, group_variance=lambda grp: 4.0
-        )
-        assert m == pytest.approx(4.0)
+        with pytest.raises(ValueError, match="term 1 is in two groups"):
+            estimate_measurements(h, Grouping(((0, 1), (1,))))
+
+    @pytest.mark.parametrize("coeff,epsilon", [(1e300, 1.6e-3), (5.0, 1e-154)])
+    def test_overflowing_estimate_rejected(self, coeff, epsilon):
+        """epsilon**-2 is finite here, but m_est is not."""
+        h = simple_h([coeff, coeff], ["Z0", "X0"], 1)
+        with pytest.raises(ValueError, match="m_est overflows"):
+            estimate_measurements(h, Grouping(((0,), (1,))), epsilon=epsilon)
 
     def test_merge_monotonicity(self):
         """Merging two groups whose cross-pairs are compatible never raises m_est."""
@@ -163,7 +172,7 @@ class TestEstimate:
 def reward(h, assignment, config=MeasurementConfig()):
     """The sampler's reward of one complete assignment row."""
     row = np.asarray(assignment, dtype=np.int64)
-    return float(_terminal_metrics(h, row[None], config)[1][0])
+    return float(batch_metrics(h, row[None], config)[1][0])
 
 
 class TestReward:
