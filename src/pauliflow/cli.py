@@ -4,13 +4,14 @@ Reports are JSON documents (schema_version 1). With --deterministic the
 timestamp is omitted and wall times are zeroed so identical invocations
 produce byte-identical bytes. Exit codes: 0 success, 2 bad input, flags or
 output path (a missing output directory, or an input whose m_est overflows
-at --epsilon, is caught before any work), 3 numeric training failure, 4
-invalid coloring for export-graph.
+at --epsilon or whose reward overflows at --lambda0, is caught before any
+work), 3 numeric training failure, 4 invalid coloring for export-graph.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -106,10 +107,13 @@ def _check_output_dirs(*paths: str | None) -> None:
             raise CliInputError(f"cannot write {path}: no directory {Path(path).parent}")
 
 
-def _load_input(path: str, epsilon: float):
-    """The Hamiltonian in path, if it has terms and a finite m_est at epsilon
-    for every grouping: none exceeds the one-term-per-group m_est, since
-    sqrt is subadditive, so that one is checked."""
+def _load_input(path: str, epsilon: float, lambda0: float = math.ulp(0.0)):
+    """The Hamiltonian in path, if it has terms and a finite m_est and reward
+    at epsilon and lambda0 for every grouping. Since sqrt is subadditive,
+    every m_est lies between the all-in-one-group row's, which gives the
+    largest reward, and the one-term-per-group row's; those two rows are
+    checked. The default lambda0, for a command with no reward, is the
+    smallest, which rejects only an m_est of 0."""
     try:
         h = load_hamiltonian(path)
     except FileNotFoundError as err:
@@ -119,7 +123,8 @@ def _load_input(path: str, epsilon: float):
     if h.n_terms == 0:
         raise CliInputError(f"{path}: no groupable terms")
     try:
-        batch_metrics(h, np.arange(1, h.n_terms + 1)[None], MeasurementConfig(epsilon=epsilon))
+        rows = np.stack([np.arange(1, h.n_terms + 1), np.ones(h.n_terms, np.int64)])
+        batch_metrics(h, rows, MeasurementConfig(epsilon=epsilon, lambda0=lambda0))
     except ValueError as err:
         raise CliInputError(f"{path}: {err}") from err
     return h
@@ -182,7 +187,7 @@ def _build_report(args, methods: list[str]) -> dict:
         )
     except ValueError as err:
         raise CliInputError(str(err)) from err
-    h = _load_input(args.input, args.epsilon)
+    h = _load_input(args.input, args.epsilon, args.lambda0)
     graph = build_complement_graph(h, args.mode)
     records = [_run_method(h, graph, m, args, config) for m in methods]
     report = {

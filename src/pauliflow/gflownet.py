@@ -9,8 +9,10 @@ against the total outgoing flow (or the terminal reward).
 The lockstep batch rollout, _BatchRollout, is the only implementation of
 this MDP: train(), TrainedSampler.sample() and so the histogram command all
 run it, its step_masks is the one action mask, and its docstring gives what
-a step costs. measurement.batch_metrics gives every finished row's m_est
-and reward.
+a step costs. It holds one block of rows' state at a time, so sampling
+holds the assignment rows and uniforms plus one block, however many rows it
+asks for. measurement.batch_metrics gives every finished row's m_est and
+reward.
 
 Actions are colors 1..color_cap. The action mask enforces, in order:
   - properness: no already-colored neighbor holds the candidate color;
@@ -52,6 +54,10 @@ from .nn import (
     save_checkpoint,
 )
 from .pauli import QubitHamiltonian
+
+# The most rows rolled out at a time: one block's per-row state and (rows, h)
+# forward temporaries stay in cache, and do not grow with the sample count.
+ROLLOUT_BLOCK_ROWS = 256
 
 
 class ColoringMDP:
@@ -196,24 +202,28 @@ def flow_matching_loss(
 class _BatchRollout:
     """Lockstep sampler: every trajectory colors vertex order[k] at step k.
 
+    The rows roll out block by block: start(lo, hi) gives rows lo..hi-1 fresh
+    per-row state, and step_masks, logits and apply then act on those rows.
+
     Layer-1 preactivations are maintained incrementally per row, since one
     step changes a single vertex slot and the cursor in the encoding: a step
     builds a (cap, h1) table of the per-color changes and adds the taken
     color's row to every row.
 
-    blocked (n, B, cap) marks the colors up to the cap that each vertex's
+    blocked (n, rows, cap) marks the colors up to the cap that each vertex's
     colored neighbors hold, vertex-major so that one neighbor's rows are
-    contiguous, and blocked_counts (n, B) counts them. The counts serve the
-    one-step feasibility check: it reads a full blocked row only where a
+    contiguous, and blocked_counts (n, rows) counts them. The counts serve
+    the one-step feasibility check: it reads a full blocked row only where a
     later neighbor has one color left. Besides the network's forward pass, a
-    step costs a few (n_later, B) gathers and one (B, h1) add. assignments
-    holds the colors taken, forced colors above the cap included; actions
-    holds the action slots.
+    step costs a few (n_later, rows) gathers and one (rows, h1) add.
+    assignments (B, n) holds the colors taken, forced colors above the cap
+    included.
 
-    With record=True, each step's log-flows and hidden activations are kept
-    for the loss (B * n_vertices rows per layer, so sampling does not record).
-    record may instead be an earlier rollout's (log_flows, hidden) to
-    overwrite, so training allocates them once.
+    With record=True, the action slots (B, n), the masks (B, n, cap) and each
+    step's log-flows and hidden activations are kept for the loss, their only
+    reader (B * n_vertices rows per layer, so sampling does not record).
+    record may instead be an earlier rollout's (actions, masks, log_flows,
+    hidden) to overwrite, so training allocates them once.
     """
 
     def __init__(self, net: DenseNet, mdp: ColoringMDP, batch: int, record=False):
@@ -221,22 +231,26 @@ class _BatchRollout:
         self.net = net
         self.mdp = mdp
         self.assignments = np.zeros((batch, n), dtype=np.int64)
-        self.blocked = np.zeros((n, batch, cap), dtype=bool)
-        self.blocked_counts = np.zeros((n, batch), dtype=np.min_scalar_type(cap))
-        self.max_colors = np.zeros(batch, dtype=np.int64)
-        self.actions = np.zeros((batch, n), dtype=np.int64)
-        self.masks = np.zeros((batch, n, cap), dtype=bool)
-        self.l1_pre = np.tile(_l1_start(net, mdp), (batch, 1))
         if record is True:
             hidden = [np.empty((batch, n, size)) for size in net.layer_sizes[1:-1]]
-            record = np.empty((batch, n, cap)), hidden
-        self.log_flows, self.hidden = record or (None, [])
+            actions = np.empty((batch, n), dtype=np.int64)
+            record = actions, np.empty((batch, n, cap), dtype=bool), np.empty((batch, n, cap)), hidden
+        self.actions, self.masks, self.log_flows, self.hidden = record or (None, None, None, [])
+
+    def start(self, lo: int, hi: int) -> None:
+        """Roll rows lo..hi-1 next, from the initial state."""
+        n, cap = self.mdp.n_vertices, self.mdp.color_cap
+        self.rows = slice(lo, hi)
+        self.blocked = np.zeros((n, hi - lo, cap), dtype=bool)
+        self.blocked_counts = np.zeros((n, hi - lo), dtype=np.min_scalar_type(cap))
+        self.max_colors = np.zeros(hi - lo, dtype=np.int64)
+        self.l1_pre = np.tile(_l1_start(self.net, self.mdp), (hi - lo, 1))
 
     def step_masks(self, k: int) -> np.ndarray:
         mdp = self.mdp
         cap = mdp.color_cap
         v = int(mdp.vertex_order[k])
-        limit = np.minimum(self.max_colors + 1, cap)  # (B,)
+        limit = np.minimum(self.max_colors + 1, cap)  # (rows,)
         mask = np.arange(cap)[None, :] < limit[:, None]
         mask &= ~self.blocked[v]
         # drop the one color still free for a later neighbor
@@ -251,12 +265,12 @@ class _BatchRollout:
         return mask
 
     def logits(self, k: int) -> np.ndarray:
-        """Log-flows (B, cap) of every row's state s_k, recorded if asked."""
+        """Log-flows (rows, cap) of every row's state s_k, recorded if asked."""
         out, hidden = self.net.forward_from_pre(self.l1_pre)
         if self.log_flows is not None:
-            self.log_flows[:, k] = out
+            self.log_flows[self.rows, k] = out
             for kept, h in zip(self.hidden, hidden):
-                kept[:, k] = h
+                kept[self.rows, k] = h
         return out
 
     def apply(self, k: int, actions: np.ndarray, mask: np.ndarray) -> None:
@@ -264,12 +278,14 @@ class _BatchRollout:
         cap = mdp.color_cap
         v = int(mdp.vertex_order[k])
         rows = np.arange(actions.shape[0])
-        self.actions[:, k] = actions
-        self.masks[:, k, :] = mask
+        assignments = self.assignments[self.rows]
+        if self.masks is not None:
+            self.actions[self.rows, k] = actions
+            self.masks[self.rows, k] = mask
         colors = actions + 1
         # only a forced top slot takes a color that a neighbor holds
         over = np.flatnonzero(self.blocked[v, rows, actions])
-        self.assignments[:, v] = colors
+        assignments[:, v] = colors
         np.maximum(self.max_colors, colors, out=self.max_colors)
         later = mdp.later_neighbors[k]
         marked = ~self.blocked[later[:, None], rows, actions]
@@ -278,10 +294,10 @@ class _BatchRollout:
         if over.size:
             # those rows take the first color above the cap that no earlier
             # neighbor holds; it blocks nothing up to the cap, so undo its marks
-            held = self.assignments[over[:, None], mdp.earlier_neighbors[k]]
+            held = assignments[over[:, None], mdp.earlier_neighbors[k]]
             above = cap + 1 + np.arange(held.shape[1] + 1)
             taken = (held[:, :, None] == above).any(axis=1)
-            self.assignments[over, v] = above[np.argmin(taken, axis=1)]
+            assignments[over, v] = above[np.argmin(taken, axis=1)]
             self.blocked_counts[later[:, None], over] -= marked[:, over]
             self.blocked[later[:, None], over, cap - 1] = ~marked[:, over]
         if k + 1 < mdp.n_vertices:
@@ -291,20 +307,36 @@ class _BatchRollout:
 def _sample_batch(
     net: DenseNet, mdp: ColoringMDP, batch: int, rng: np.random.Generator, record=False
 ) -> tuple[_BatchRollout, int]:
-    """Roll a full lockstep batch, drawing each step's action from the
-    softmax of the log-flows over the legal slots. Returns the rollout and 0,
-    the number of restarts: no mask is empty, so no trajectory is re-rolled
-    (perfbench reads the count). With record set the rollout keeps every
-    state's log-flows and hidden activations (see _BatchRollout)."""
+    """Roll a lockstep batch, drawing each step's action from the softmax of
+    the log-flows over the legal slots. Returns the rollout and 0, the number
+    of restarts: no mask is empty, so no trajectory is re-rolled (perfbench
+    reads the count). With record set the rollout keeps what the loss reads
+    (see _BatchRollout).
+
+    One call draws every uniform, u (n, batch), step-major, so u[k] holds
+    what rng.random(batch) at step k would give. The rows then roll out in
+    near-equal blocks of at most ROLLOUT_BLOCK_ROWS, with the samples of one
+    batch: no block is a small remainder, for which BLAS would round the
+    logits differently (gemv for one row). A draw is clipped to the row's
+    legal slots: u == 0 would pick slot 0, and u times the (pairwise) sum of
+    the flows can pass their (sequential) cumulative sum.
+    """
+    n, cap = mdp.n_vertices, mdp.color_cap
+    u = rng.random((n, batch))
     rollout = _BatchRollout(net, mdp, batch, record)
-    for k in range(mdp.n_vertices):
-        mask = rollout.step_masks(k)
-        logits = rollout.logits(k)
-        probs = np.where(mask, np.exp(logits - logits.max(axis=1, keepdims=True)), 0.0)
-        cdf = np.cumsum(probs, axis=1)
-        draws = rng.random(batch) * probs.sum(axis=1)
-        actions = (cdf < draws[:, None]).sum(axis=1)
-        rollout.apply(k, actions.astype(np.int64), mask)
+    blocks = -(-batch // ROLLOUT_BLOCK_ROWS)
+    edges = [batch * i // blocks for i in range(blocks + 1)]
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        rollout.start(lo, hi)
+        for k in range(n):
+            mask = rollout.step_masks(k)
+            logits = rollout.logits(k)
+            probs = np.where(mask, np.exp(logits - logits.max(axis=1, keepdims=True)), 0.0)
+            cdf = np.cumsum(probs, axis=1)
+            draws = u[k, lo:hi] * probs.sum(axis=1)
+            actions = (cdf < draws[:, None]).sum(axis=1)
+            first, last = mask.argmax(axis=1), cap - 1 - mask[:, ::-1].argmax(axis=1)
+            rollout.apply(k, np.clip(actions, first, last), mask)
     return rollout, 0
 
 
@@ -512,7 +544,7 @@ def train(h: QubitHamiltonian, config: TrainConfig | None = None) -> TrainedSamp
                 check_finite(net, f"iteration {iteration}")
         except NumericError as err:
             raise NumericError(f"iteration {iteration}: {err}") from err
-        record = rollout.log_flows, rollout.hidden
+        record = rollout.actions, rollout.masks, rollout.log_flows, rollout.hidden
         del rollout, grads  # free them before the next rollout starts
         best = sampler.best
         sampler.log.append(

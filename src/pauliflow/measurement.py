@@ -17,7 +17,8 @@ rollouts, and estimate_measurements on the one row a Grouping gives.
 
 MeasurementConfig holds epsilon and lambda0, both positive and finite, with
 epsilon**2 and epsilon**-2 finite too. Large coefficients or a small epsilon
-can still overflow m_est, which batch_metrics rejects.
+can still overflow m_est, and a large lambda0 over a tiny m_est the reward;
+batch_metrics rejects both.
 """
 from __future__ import annotations
 
@@ -63,13 +64,13 @@ def batch_metrics(
     the bits of summing one row's nonzero sums alone: a row sums only its
     first color_count entries (zero padding would regroup numpy's pairwise
     sum), and float_power squares with libm's pow, as scalar ** does.
-    Raises ValueError if any m_est overflows.
+    Raises ValueError if any m_est or reward overflows.
     """
     batch = assignments.shape[0]
     colors = assignments.max(axis=1, initial=0)
     width = int(colors.max(initial=0)) + 1
     slots = assignments + width * np.arange(batch)[:, None]
-    with np.errstate(over="ignore"):  # an overflow is reported below
+    with np.errstate(over="ignore", divide="ignore"):  # an overflow is reported below
         weights = np.broadcast_to(h.coefficients() ** 2, assignments.shape).ravel()
         per_color = np.bincount(slots.ravel(), weights=weights, minlength=batch * width)
         per_color = per_color.reshape(batch, width)[:, 1:]
@@ -78,9 +79,13 @@ def batch_metrics(
             rows = colors == c
             roots[rows] = np.sqrt(per_color[rows, :c]).sum(axis=1)
         m_est = np.float_power(roots, 2) / cfg.epsilon**2
+        rewards = (h.n_terms - colors) + cfg.lambda0 / m_est
     if not np.all(np.isfinite(m_est)):
         raise ValueError(f"m_est overflows: coefficients too large for epsilon {cfg.epsilon}")
-    return m_est, (h.n_terms - colors) + cfg.lambda0 / m_est, colors
+    if not np.all(np.isfinite(rewards)):
+        tiny = float(m_est.min())
+        raise ValueError(f"reward overflows: lambda0 {cfg.lambda0} too large for m_est {tiny!r}")
+    return m_est, rewards, colors
 
 
 def estimate_measurements(
@@ -88,7 +93,9 @@ def estimate_measurements(
 ) -> float:
     """Estimated shots to reach accuracy epsilon with one circuit per group:
     batch_metrics' m_est of the row that gives group k color k + 1."""
-    cfg = MeasurementConfig(epsilon=epsilon)  # raises ValueError on an unusable epsilon
+    # raises ValueError on an unusable epsilon; the reward, unused here, takes
+    # the smallest lambda0, so that it overflows only where m_est is 0
+    cfg = MeasurementConfig(epsilon=epsilon, lambda0=math.ulp(0.0))
     if grouping.n_groups == 0:
         raise EmptyGroupingError("grouping has no groups")
     row = np.zeros(h.n_terms, dtype=np.int64)

@@ -92,9 +92,12 @@ class DenseNet:
         h = np.tanh(pre)
         hidden = [h]
         for k in range(1, self.n_layers - 1):
-            h = np.tanh(h @ self.weights[k] + self.biases[k])
-            hidden.append(h)
-        return h @ self.weights[-1] + self.biases[-1], hidden
+            h = h @ self.weights[k]
+            h += self.biases[k]  # in place: the same bits as h @ W + b
+            hidden.append(np.tanh(h, out=h))
+        out = h @ self.weights[-1]
+        out += self.biases[-1]
+        return out, hidden
 
     def backward(self, x: np.ndarray, output_grad: np.ndarray) -> list[np.ndarray]:
         """Gradient of <forward(x), output_grad> w.r.t. parameters.

@@ -162,7 +162,8 @@ def forced_rollout(mdp, actions):
     given in place of draws. masks[:, k] holds each row's mask at step k;
     legal_rows tells which rows took only actions their masks allow."""
     net = DenseNet.initialize([mdp.encoding_dim, mdp.color_cap], seed=0)
-    rollout = gflownet._BatchRollout(net, mdp, actions.shape[0])
+    rollout = gflownet._BatchRollout(net, mdp, actions.shape[0], record=True)
+    rollout.start(0, actions.shape[0])
     for k in range(actions.shape[1]):
         rollout.apply(k, actions[:, k], rollout.step_masks(k))
     return rollout
@@ -348,9 +349,9 @@ class ReferenceRollout(gflownet._BatchRollout):
     (B, cap) blocked row, forced colors found with Python sets, and layer-1
     updates gathered per row."""
 
-    def __init__(self, net, mdp, batch, record=False):
-        super().__init__(net, mdp, batch, record)
-        self.blocked = np.zeros((batch, mdp.n_vertices, mdp.color_cap), dtype=bool)
+    def start(self, lo, hi):
+        super().start(lo, hi)
+        self.blocked = np.zeros((hi - lo, self.mdp.n_vertices, self.mdp.color_cap), dtype=bool)
 
     def step_masks(self, k):
         mdp = self.mdp
@@ -363,20 +364,22 @@ class ReferenceRollout(gflownet._BatchRollout):
         rows, nbrs = np.nonzero(blocked.sum(axis=2) == cap - 1)
         mask[rows, np.argmin(blocked[rows, nbrs], axis=1)] = False
         for b in np.flatnonzero(~mask.any(axis=1)):
-            held = set(self.assignments[b, mdp.earlier_neighbors[k]].tolist())
+            held = set(self.assignments[self.rows][b, mdp.earlier_neighbors[k]].tolist())
             mask[b, min(first_free(held), cap) - 1] = True
         return mask
 
     def apply(self, k, actions, mask):
         mdp = self.mdp
         v = int(mdp.vertex_order[k])
-        self.actions[:, k] = actions
-        self.masks[:, k, :] = mask
+        assignments = self.assignments[self.rows]
+        if self.masks is not None:
+            self.actions[self.rows, k] = actions
+            self.masks[self.rows, k] = mask
         colors = actions + 1
         for b in range(actions.shape[0]):
-            held = set(self.assignments[b, mdp.earlier_neighbors[k]].tolist())
+            held = set(assignments[b, mdp.earlier_neighbors[k]].tolist())
             colors[b] = first_free(held, colors[b])  # moves only a forced top slot
-        self.assignments[:, v] = colors
+        assignments[:, v] = colors
         self.max_colors = np.maximum(self.max_colors, colors)
         rows = np.flatnonzero(colors <= mdp.color_cap)
         self.blocked[rows[:, None], mdp.later_neighbors[k], actions[rows, None]] = True

@@ -182,6 +182,8 @@ BAD_INPUTS = {
     "m-est-overflow-gflownet": (["group", "--input", H4, "--mode", "fc", "--method", "gflownet", "--iterations", "1", "--epsilon", "1e-154"], "m_est overflows"),
     "m-est-overflow-export-graph": (["export-graph", "--input", H4, "--mode", "fc", "--coloring", "/nonexistent.json", "--out", "TMPDIR/g.dot", "--epsilon", "1e-154"], "m_est overflows"),
     "m-est-overflow-coefficients": (["group", "--input", "HUGE.ham", "--mode", "fc", "--method", "full"], "m_est overflows"),
+    # a reward that overflows at the run's lambda0 too, before training starts
+    "reward-overflow-gflownet": (["group", "--input", H2, "--mode", "fc", "--method", "gflownet", "--iterations", "2", "--epsilon", "1e150", "--lambda0", "1e300"], "reward overflows"),
     # files the parser rejects, with the line at fault
     "nan-term": (["group", "--input", "NAN_TERM.ham", "--mode", "fc", "--method", "full"], "line 2: non-finite"),
     "inf-term": (["group", "--input", "INF_TERM.ham", "--mode", "fc", "--method", "full"], "line 3: non-finite"),
@@ -261,6 +263,21 @@ def test_python_m_pauliflow_runs_the_cli():
     assert done.returncode == 2
     assert done.stdout == ""
     assert done.stderr.startswith("error: ") and "epsilon" in done.stderr
+
+
+def test_reward_is_checked_at_the_runs_lambda0(capsys, tmp_path):
+    """At an epsilon whose m_est is tiny, the default lambda0 overflows the
+    reward and exits 2, and a small --lambda0 reports the m_est; export-graph
+    has no reward to check."""
+    argv = ["group", "--input", H2, "--mode", "fc", "--method", "full", "--epsilon", "1e154"]
+    code, _, err = run(capsys, *argv)
+    assert code == 2 and "reward overflows" in err
+    report, _ = run_report(capsys, *argv, "--lambda0", "1e-10")
+    assert 0 < report["methods"][0]["m_est"] < 1e-300
+    coloring = tmp_path / "c.json"
+    coloring.write_text(json.dumps(list(range(1, 15))))
+    dot = ["--coloring", str(coloring), "--out", str(tmp_path / "g.dot"), "--epsilon", "1e154"]
+    assert run(capsys, "export-graph", "--input", H2, "--mode", "fc", *dot)[0] == 0
 
 
 class TestCompare:

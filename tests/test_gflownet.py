@@ -20,6 +20,7 @@ from oracles import (
     terminal_metrics_row,
     trajectory_states,
 )
+from pauliflow import gflownet
 from pauliflow.gflownet import (
     ColoringMDP,
     TrainConfig,
@@ -78,7 +79,7 @@ def densify(net, grads, rows0):
 def sample_batch(net, mdp, rng, batch, hamiltonian=None, measurement=MeasurementConfig()):
     """(actions, masks, rewards) of a `batch`-row rollout; every reward is 1
     when no Hamiltonian is given."""
-    rollout, _ = _sample_batch(net, mdp, batch, rng)
+    rollout, _ = _sample_batch(net, mdp, batch, rng, record=True)
     rewards = np.ones(batch)
     if hamiltonian is not None:
         _, rewards, _ = batch_metrics(hamiltonian, rollout.assignments, measurement)
@@ -255,7 +256,7 @@ class TestForwardPolicy:
     def test_single_allowed_action_probability_one(self):
         mdp = ColoringMDP(graph_from_edges(2, [(0, 1)]), 2)
         net = DenseNet.initialize([mdp.encoding_dim, 8, 2], seed=0)
-        rollout, _ = _sample_batch(net, mdp, 50, np.random.Generator(np.random.PCG64(0)))
+        rollout, _ = _sample_batch(net, mdp, 50, np.random.Generator(np.random.PCG64(0)), record=True)
         assert (rollout.actions == [0, 1]).all()
 
     def test_zero_net_uniform_over_allowed(self):
@@ -263,7 +264,7 @@ class TestForwardPolicy:
         net = DenseNet(
             [np.zeros((mdp.encoding_dim, 3))], [np.zeros(3)]
         )
-        rollout, _ = _sample_batch(net, mdp, 4000, np.random.Generator(np.random.PCG64(0)))
+        rollout, _ = _sample_batch(net, mdp, 4000, np.random.Generator(np.random.PCG64(0)), record=True)
         second = rollout.actions[:, 1]  # colors 1 and 2 are legal
         assert not (second == 2).any()
         assert np.mean(second == 0) == pytest.approx(0.5, abs=0.03)
@@ -271,9 +272,9 @@ class TestForwardPolicy:
     def test_shift_invariance(self):
         mdp = ColoringMDP(graph_from_edges(3, []), 3)
         net = DenseNet.initialize([mdp.encoding_dim, 6, 3], seed=2)
-        a, _ = _sample_batch(net, mdp, 200, np.random.Generator(np.random.PCG64(2)))
+        a, _ = _sample_batch(net, mdp, 200, np.random.Generator(np.random.PCG64(2)), record=True)
         net.biases[-1] += 7.3  # constant shift of all log-flows
-        b, _ = _sample_batch(net, mdp, 200, np.random.Generator(np.random.PCG64(2)))
+        b, _ = _sample_batch(net, mdp, 200, np.random.Generator(np.random.PCG64(2)), record=True)
         assert np.array_equal(a.actions, b.actions)
 
     def test_sums_to_one(self):
@@ -281,7 +282,7 @@ class TestForwardPolicy:
         network's log-flows, a distribution over the legal colors."""
         mdp = ColoringMDP(graph_from_edges(4, []), 3)
         net = DenseNet.initialize([mdp.encoding_dim, 8, 3], seed=5)
-        rollout, _ = _sample_batch(net, mdp, 20000, np.random.Generator(np.random.PCG64(5)))
+        rollout, _ = _sample_batch(net, mdp, 20000, np.random.Generator(np.random.PCG64(5)), record=True)
         state = trajectory_states(mdp, [0])[-1]  # the first vertex always takes color 1
         mask = legal_actions(mdp, state, 1)
         logits = net.forward(encode_state(mdp, state, 1))
@@ -353,7 +354,7 @@ class TestSampling:
             mdp = ColoringMDP(g, cap)
             net = DenseNet.initialize([mdp.encoding_dim, 8, cap], seed=seed)
             rng = np.random.Generator(np.random.PCG64(seed + 99))
-            rollout, _ = _sample_batch(net, mdp, 32, rng)
+            rollout, _ = _sample_batch(net, mdp, 32, rng, record=True)
             for b in range(32):
                 states = trajectory_states(mdp, rollout.actions[b])
                 for k in range(mdp.n_vertices):
@@ -372,7 +373,7 @@ class TestSparseInputFastPath:
         mdp = ColoringMDP(g, cap)
         net = DenseNet.initialize([mdp.encoding_dim, 10, 7, cap], seed=seed)
         rng = np.random.Generator(np.random.PCG64(seed))
-        rollout, _ = _sample_batch(net, mdp, 1, rng)
+        rollout, _ = _sample_batch(net, mdp, 1, rng, record=True)
         actions, masks = rollout.actions[0], rollout.masks[0]
         states = trajectory_states(mdp, actions)[:-1]
         enc = np.stack([encode_state(mdp, a, k) for k, a in enumerate(states)])
@@ -399,6 +400,7 @@ class TestSparseInputFastPath:
     def test_rollout_logits_match_dense_forward(self, seed):
         mdp, net, actions, masks, enc = self.trajectory_and_encodings(seed)
         rollout = _BatchRollout(net, mdp, 1)
+        rollout.start(0, 1)
         for k in range(actions.size):
             assert np.allclose(rollout.logits(k)[0], net.forward(enc[k]), atol=1e-10)
             rollout.apply(k, actions[k : k + 1], masks[k][None])
@@ -456,6 +458,98 @@ class TestSparseInputFastPath:
         net = DenseNet.initialize([mdp.encoding_dim, 8, mdp.color_cap], seed=0)
         rollout, _ = _sample_batch(net, mdp, 4, np.random.Generator(np.random.PCG64(0)))
         assert rollout.log_flows is None and rollout.hidden == []
+        assert rollout.actions is None and rollout.masks is None
+
+
+class StubUniforms:
+    """A generator whose every uniform is `value`."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def random(self, shape):
+        return np.full(shape, self.value)
+
+
+class TestBlockedRollout:
+    """A batch rolls out ROLLOUT_BLOCK_ROWS rows at a time, with the samples
+    that one block of all rows gives. The networks are tiny so that a
+    block's matrix products round every row as the whole batch's do."""
+
+    BLOCK = 7
+
+    @pytest.mark.parametrize("batch", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
+    @pytest.mark.parametrize("record", [False, True])
+    def test_blocks_give_the_rows_of_one_block(self, monkeypatch, batch, record):
+        forced = False
+        for n_vertices, p, seed in [(12, 0.5, 0), (24, 0.3, 3), (30, 0.3, 2)]:
+            g = random_graph(n_vertices, p, seed)
+            mdp = ColoringMDP(g, greedy_color(g, "random_sequential", seed=seed).max_color)
+            net = DenseNet.initialize([mdp.encoding_dim, 6, 5, mdp.color_cap], seed=seed)
+
+            def run(block):
+                monkeypatch.setattr(gflownet, "ROLLOUT_BLOCK_ROWS", block)
+                rng = np.random.Generator(np.random.PCG64(seed))
+                return _sample_batch(net, mdp, batch, rng, record=record)[0]
+
+            blocked, whole = run(self.BLOCK), run(batch)
+            names = ("actions", "masks", "assignments", "log_flows") if record else ("assignments",)
+            for name in names:
+                assert np.array_equal(getattr(blocked, name), getattr(whole, name)), name
+            assert len(blocked.hidden) == (2 if record else 0)
+            for kept, want in zip(blocked.hidden, whole.hidden, strict=True):
+                assert np.array_equal(kept, want)
+            forced |= bool((blocked.assignments > mdp.color_cap).any())
+        assert forced or batch < 2 * self.BLOCK  # forced colors are rolled out too
+
+    @pytest.mark.parametrize("u", [0.0, np.nextafter(1.0, 0.0)])
+    def test_extreme_uniforms_draw_legal_slots(self, u):
+        """u == 0 would pick slot 0 where it is masked out, and u just below 1
+        times the pairwise sum of the flows passes their cumulative sum and
+        would pick slot cap; both draws are clipped to the legal slots."""
+        g = random_graph(30, 0.3, 2)
+        mdp = ColoringMDP(g, 37)
+        cap = mdp.color_cap
+        net = DenseNet.initialize([mdp.encoding_dim, 8, cap], seed=2)
+        rollout, _ = _sample_batch(net, mdp, 64, StubUniforms(u), record=True)
+        masks, actions = rollout.masks, rollout.actions
+        assert np.take_along_axis(masks, actions[:, :, None], axis=2).all()
+        first, last = masks.argmax(axis=2), cap - 1 - masks[:, :, ::-1].argmax(axis=2)
+        assert np.array_equal(actions, first if u == 0.0 else last)
+        # the unclipped rule would have drawn an illegal slot
+        flows = rollout.log_flows
+        probs = np.where(masks, np.exp(flows - flows.max(axis=2, keepdims=True)), 0.0)
+        unclipped = (np.cumsum(probs, axis=2) < u * probs.sum(axis=2)[:, :, None]).sum(axis=2)
+        if u == 0.0:
+            assert not np.take_along_axis(masks, unclipped[:, :, None], axis=2).all()
+        else:
+            assert (unclipped == cap).any()
+
+    def test_sampling_state_does_not_grow_with_the_sample_count(self, monkeypatch):
+        """Past one block, sampling 8 blocks' rows traces less extra memory
+        than one float per extra row and layer-1 unit: the rows' outputs
+        (assignments, uniforms, m_est and the returned list) are far smaller,
+        and any full-batch (rows, h1) rollout state would exceed it alone."""
+        monkeypatch.setattr(gflownet, "ROLLOUT_BLOCK_ROWS", 64)
+        rng = np.random.Generator(np.random.PCG64(0))
+        texts = {"".join(rng.choice(list("IXYZ"), size=4)) for _ in range(12)}
+        h = QubitHamiltonian(4, [(float(rng.normal()), PauliWord.from_text(t)) for t in sorted(texts)])
+        graph = build_complement_graph(h, "fc")
+        mdp = ColoringMDP(graph, greedy_color(graph, "random_sequential", seed=0).max_color)
+        net = DenseNet.initialize([mdp.encoding_dim, 512, 512, mdp.color_cap], seed=0)
+        sampler = TrainedSampler(h, mdp, net, TrainConfig())
+        sampler.sample(64)  # warm up
+
+        def traced_peak(n):
+            tracemalloc.start()
+            try:
+                sampler.sample(n)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        extra_rows = 8 * 64 - 64
+        assert traced_peak(8 * 64) - traced_peak(64) < extra_rows * 512 * 8
 
 
 class TestFlowMatchingLoss:

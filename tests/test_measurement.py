@@ -119,6 +119,16 @@ class TestEstimate:
         with pytest.raises(ValueError, match="m_est overflows"):
             estimate_measurements(h, Grouping(((0,), (1,))), epsilon=epsilon)
 
+    def test_overflowing_reward_rejected_but_not_in_estimate(self):
+        """A tiny m_est overflows lambda0 / m_est; batch_metrics rejects that
+        reward, while estimate_measurements, which reports no reward, returns
+        the m_est."""
+        h = simple_h([0.5, 0.3], ["Z0", "X0"], 1)
+        with pytest.raises(ValueError, match="reward overflows"):
+            batch_metrics(h, np.array([[1, 2]]), MeasurementConfig(epsilon=1e154))
+        m_est = estimate_measurements(h, Grouping(((0,), (1,))), epsilon=1e154)
+        assert 0 < m_est < 1e-300
+
     def test_merge_monotonicity(self):
         """Merging two groups whose cross-pairs are compatible never raises m_est."""
         merges_tested = 0
