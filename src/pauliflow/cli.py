@@ -271,7 +271,10 @@ def cmd_histogram(args) -> int:
         raise CliInputError(f"cannot read checkpoint {args.checkpoint}: {err}") from err
     except ValueError as err:  # not an .npz archive, or not one the sampler wrote
         raise CliInputError(f"{args.checkpoint} is not a checkpoint: {err}") from err
-    samples = sampler.sample(args.samples, rng=args.seed)
+    try:
+        samples = sampler.sample(args.samples, rng=args.seed)
+    except MemoryError as err:
+        raise CliInputError(f"--samples {args.samples}: too many samples to hold in memory: {err}") from err
     m_values = np.array([m for _, m, _ in samples])
     colors = np.array([c.max_color for c, _, _ in samples])
     lo, hi = float(m_values.min()), float(m_values.max())

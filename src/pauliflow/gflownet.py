@@ -9,9 +9,12 @@ against the total outgoing flow (or the terminal reward).
 The lockstep batch rollout, _BatchRollout, is the only implementation of
 this MDP: train(), TrainedSampler.sample() and so the histogram command all
 run it, its step_masks is the one action mask, and its docstring gives what
-a step costs. It holds one block of rows' state at a time, so sampling
-holds the assignment rows and uniforms plus one block, however many rows it
-asks for. measurement.batch_metrics gives every finished row's m_est and
+a step costs. A batch rolls out in blocks of rows, one block in flight per
+core, so sampling holds the assignment rows and uniforms plus a block per
+core, however many rows it asks for; each block draws from its own slice
+of uniforms drawn up front, so the rows do not depend on the core count.
+A single block, as every training batch is, rolls inline on the caller's
+thread. measurement.batch_metrics gives every finished row's m_est and
 reward.
 
 Actions are colors 1..color_cap. The action mask enforces, in order:
@@ -37,6 +40,8 @@ and the flow-matching loss reuses them and runs only the backward pass.
 """
 from __future__ import annotations
 
+import copy
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,8 +60,10 @@ from .nn import (
 )
 from .pauli import QubitHamiltonian
 
-# The most rows rolled out at a time: one block's per-row state and (rows, h)
-# forward temporaries stay in cache, and do not grow with the sample count.
+# The most rows rolled out at a time on one core: one block's per-row state
+# and (rows, h) forward temporaries stay in cache, and do not grow with the
+# sample count. A larger batch on several cores rolls blocks of half as many
+# rows, one per core, so that 2 cores hold as many rows in flight as one.
 ROLLOUT_BLOCK_ROWS = 256
 
 
@@ -204,6 +211,9 @@ class _BatchRollout:
 
     The rows roll out block by block: start(lo, hi) gives rows lo..hi-1 fresh
     per-row state, and step_masks, logits and apply then act on those rows.
+    That state (rows, blocked, blocked_counts, max_colors, l1_pre) is the
+    only state a step changes besides its rows of the batch arrays, so
+    shallow copies of one rollout can roll disjoint blocks at once.
 
     Layer-1 preactivations are maintained incrementally per row, since one
     step changes a single vertex slot and the cursor in the encoding: a step
@@ -304,6 +314,30 @@ class _BatchRollout:
             self.l1_pre += _l1_step(self.net, mdp, k, np.arange(1, cap + 1))[actions]
 
 
+def _available_cores() -> int:
+    """The cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+def _roll_block(rollout: _BatchRollout, u: np.ndarray, lo: int, hi: int) -> None:
+    """Roll rows lo..hi-1 of `rollout` to the end, drawing step k's actions
+    with the uniforms u[k, lo:hi]."""
+    n, cap = rollout.mdp.n_vertices, rollout.mdp.color_cap
+    rollout.start(lo, hi)
+    for k in range(n):
+        mask = rollout.step_masks(k)
+        logits = rollout.logits(k)
+        probs = np.where(mask, np.exp(logits - logits.max(axis=1, keepdims=True)), 0.0)
+        cdf = np.cumsum(probs, axis=1)
+        draws = u[k, lo:hi] * probs.sum(axis=1)
+        actions = (cdf < draws[:, None]).sum(axis=1)
+        first, last = mask.argmax(axis=1), cap - 1 - mask[:, ::-1].argmax(axis=1)
+        rollout.apply(k, np.clip(actions, first, last), mask)
+
+
 def _sample_batch(
     net: DenseNet, mdp: ColoringMDP, batch: int, rng: np.random.Generator, record=False
 ) -> tuple[_BatchRollout, int]:
@@ -320,23 +354,36 @@ def _sample_batch(
     logits differently (gemv for one row). A draw is clipped to the row's
     legal slots: u == 0 would pick slot 0, and u times the (pairwise) sum of
     the flows can pass their (sequential) cumulative sum.
+
+    A batch of more than ROLLOUT_BLOCK_ROWS rows on several cores rolls
+    blocks of at most half that, 128 rows, on a pool of one thread per core
+    (at most one per block). Each block rolls on a shallow copy of the
+    rollout that holds its own block state and writes its own rows of the
+    shared arrays; numpy releases the interpreter lock in the matrix
+    products and tanh that dominate a step. A block reads only its own
+    uniforms and rows, and near-equal blocks of 128 rows keep at least 64,
+    above the 52 rows below which OpenBLAS rounds a row of the logits
+    differently, so any core count gives the same bits. Blocks are not cut
+    smaller on more cores for that reason. A single block (every training
+    batch) or a single core rolls inline, with no thread and no copy.
     """
-    n, cap = mdp.n_vertices, mdp.color_cap
-    u = rng.random((n, batch))
+    u = rng.random((mdp.n_vertices, batch))
     rollout = _BatchRollout(net, mdp, batch, record)
-    blocks = -(-batch // ROLLOUT_BLOCK_ROWS)
+    cores = _available_cores() if batch > ROLLOUT_BLOCK_ROWS else 1
+    block_rows = ROLLOUT_BLOCK_ROWS if cores == 1 else ROLLOUT_BLOCK_ROWS // 2
+    blocks = -(-batch // block_rows)
     edges = [batch * i // blocks for i in range(blocks + 1)]
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        rollout.start(lo, hi)
-        for k in range(n):
-            mask = rollout.step_masks(k)
-            logits = rollout.logits(k)
-            probs = np.where(mask, np.exp(logits - logits.max(axis=1, keepdims=True)), 0.0)
-            cdf = np.cumsum(probs, axis=1)
-            draws = u[k, lo:hi] * probs.sum(axis=1)
-            actions = (cdf < draws[:, None]).sum(axis=1)
-            first, last = mask.argmax(axis=1), cap - 1 - mask[:, ::-1].argmax(axis=1)
-            rollout.apply(k, np.clip(actions, first, last), mask)
+    spans = list(zip(edges[:-1], edges[1:]))
+    if cores == 1:
+        for lo, hi in spans:
+            _roll_block(rollout, u, lo, hi)
+    else:
+        from concurrent.futures import ThreadPoolExecutor  # only a pooled call pays for the import
+
+        with ThreadPoolExecutor(min(blocks, cores)) as pool:
+            # reading every result raises the first block's error, if any
+            for _ in pool.map(lambda span: _roll_block(copy.copy(rollout), u, *span), spans):
+                pass
     return rollout, 0
 
 

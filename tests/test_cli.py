@@ -157,6 +157,8 @@ BAD_INPUTS = {
     "histogram-no-metadata": (["histogram", "--checkpoint", "BARE_CHECKPOINT", "--samples", "5"], "not a pauliflow checkpoint"),
     "histogram-mismatched-cap": (["histogram", "--checkpoint", "MISMATCHED_CAP", "--samples", "5"], "color_cap"),
     "histogram-seed-before-load": (["histogram", "--checkpoint", H2, "--samples", "5", "--seed", "-1"], "--seed"),
+    # a count whose arrays numpy refuses at once (about 1000 TiB of uniforms)
+    "histogram-samples-too-many": (["histogram", "--checkpoint", "H2_CHECKPOINT", "--samples", "10000000000000"], "--samples"),
     # the bin width is checked before the checkpoint (here not one) is read
     "histogram-bin-width-negative": (["histogram", "--checkpoint", H2, "--samples", "5", "--bin-width", "-5"], "--bin-width"),
     "histogram-bin-width-0": (["histogram", "--checkpoint", H2, "--samples", "5", "--bin-width", "0"], "--bin-width"),
@@ -225,10 +227,12 @@ def test_bad_input_exits_2_with_error_line(capsys, tmp_path, case):
         net = DenseNet.initialize([3, 4, 2], seed=0)
         save_checkpoint(bare, net)
         argv = [str(bare) if arg == "BARE_CHECKPOINT" else arg for arg in argv]
-    if "MISMATCHED_CAP" in argv:  # an H2 checkpoint whose color_cap is 3 more than its network's
-        good = tmp_path / "good.npz"
+    good = tmp_path / "good.npz"
+    if "H2_CHECKPOINT" in argv or "MISMATCHED_CAP" in argv:  # a small H2 FC checkpoint
         config = TrainConfig(iterations=1, trajectories_per_iteration=2, hidden_sizes=(4,))
         train(load_hamiltonian(H2), config).save(good)
+        argv = [str(good) if arg == "H2_CHECKPOINT" else arg for arg in argv]
+    if "MISMATCHED_CAP" in argv:  # that checkpoint with a color_cap 3 more than its network's
         with np.load(good) as data:
             arrays = dict(data)
         metadata = json.loads(str(arrays["metadata"]))

@@ -1,4 +1,7 @@
+import sys
+import threading
 import tracemalloc
+from concurrent import futures
 
 import numpy as np
 import pytest
@@ -471,6 +474,16 @@ class StubUniforms:
         return np.full(shape, self.value)
 
 
+@pytest.fixture
+def frequent_thread_switches():
+    """The interpreter switches threads every microsecond, so that a race
+    between threads that share state would show."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    yield
+    sys.setswitchinterval(interval)
+
+
 class TestBlockedRollout:
     """A batch rolls out ROLLOUT_BLOCK_ROWS rows at a time, with the samples
     that one block of all rows gives. The networks are tiny so that a
@@ -481,6 +494,20 @@ class TestBlockedRollout:
     @pytest.mark.parametrize("batch", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
     @pytest.mark.parametrize("record", [False, True])
     def test_blocks_give_the_rows_of_one_block(self, monkeypatch, batch, record):
+        self.check_rows_of_one_block(monkeypatch, batch, record)
+
+    @pytest.mark.parametrize("record", [False, True])
+    @pytest.mark.parametrize("cores", [1, 2, 4])
+    def test_any_core_count_gives_the_rows_of_one_block(
+        self, monkeypatch, frequent_thread_switches, record, cores
+    ):
+        """Blocks rolled inline (one core) or by a pool of threads, up to
+        more threads than this machine may have cores, give the rows of one
+        block."""
+        monkeypatch.setattr(gflownet, "_available_cores", lambda: cores)
+        self.check_rows_of_one_block(monkeypatch, 3 * self.BLOCK + 5, record)
+
+    def check_rows_of_one_block(self, monkeypatch, batch, record):
         forced = False
         for n_vertices, p, seed in [(12, 0.5, 0), (24, 0.3, 3), (30, 0.3, 2)]:
             g = random_graph(n_vertices, p, seed)
@@ -501,6 +528,62 @@ class TestBlockedRollout:
                 assert np.array_equal(kept, want)
             forced |= bool((blocked.assignments > mdp.color_cap).any())
         assert forced or batch < 2 * self.BLOCK  # forced colors are rolled out too
+
+    @pytest.mark.parametrize("cores, rows", [(1, [200] * 3), (2, [120] * 5), (4, [120] * 5)])
+    def test_pooled_blocks_hold_half_the_rows(self, monkeypatch, cores, rows):
+        """Blocks rolled one at a time hold up to ROLLOUT_BLOCK_ROWS rows, and
+        pooled blocks half that on any core count, never under 52 rows."""
+        spans = []
+        monkeypatch.setattr(gflownet, "_available_cores", lambda: cores)
+        monkeypatch.setattr(gflownet, "_roll_block", lambda rollout, u, lo, hi: spans.append(hi - lo))
+        g = random_graph(12, 0.5, 0)
+        mdp = ColoringMDP(g, greedy_color(g, "random_sequential", seed=0).max_color)
+        net = DenseNet.initialize([mdp.encoding_dim, 6, mdp.color_cap], seed=0)
+        _sample_batch(net, mdp, 600, np.random.Generator(np.random.PCG64(0)))
+        assert sorted(spans) == rows
+
+    def test_one_block_or_one_core_starts_no_thread(self, monkeypatch):
+        """A training batch is one block and rolls inline, with no pool and
+        no thread, on any core count; so do several blocks on one core."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("started a thread")
+
+        monkeypatch.setattr(futures, "ThreadPoolExecutor", refuse)
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        monkeypatch.setattr(gflownet, "_available_cores", lambda: 4)
+        h = load_hamiltonian(bundled_path("h2_sto3g_1A_jw.ham"))
+        config = TrainConfig(iterations=3, hidden_sizes=(8,), accumulation_period=1)
+        assert config.trajectories_per_iteration <= gflownet.ROLLOUT_BLOCK_ROWS
+        sampler = train(h, config)
+        monkeypatch.setattr(gflownet, "_available_cores", lambda: 1)
+        assert len(sampler.sample(3 * gflownet.ROLLOUT_BLOCK_ROWS)) == 3 * gflownet.ROLLOUT_BLOCK_ROWS
+
+    def test_error_in_a_block_propagates_and_stops_the_pool(self, monkeypatch):
+        """An exception in one block of a pooled rollout leaves _sample_batch
+        and sample(), and the pool's threads are gone when it does."""
+        monkeypatch.setattr(gflownet, "ROLLOUT_BLOCK_ROWS", 16)  # pooled blocks of 8 rows
+        monkeypatch.setattr(gflownet, "_available_cores", lambda: 2)
+        apply = _BatchRollout.apply
+
+        def apply_or_fail(self, k, actions, mask):
+            if self.rows.start == 16:  # the third block of 5
+                raise RuntimeError("third block")
+            apply(self, k, actions, mask)
+
+        monkeypatch.setattr(_BatchRollout, "apply", apply_or_fail)
+        h = load_hamiltonian(bundled_path("h2_sto3g_1A_jw.ham"))
+        graph = build_complement_graph(h, "fc")
+        mdp = ColoringMDP(graph, greedy_color(graph, "random_sequential", seed=0).max_color)
+        net = DenseNet.initialize([mdp.encoding_dim, 6, mdp.color_cap], seed=0)
+        sampler = TrainedSampler(h, mdp, net, TrainConfig())
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="third block"):
+            _sample_batch(net, mdp, 40, np.random.Generator(np.random.PCG64(0)))
+        assert threading.active_count() == threads
+        with pytest.raises(RuntimeError, match="third block"):
+            sampler.sample(40)
+        assert threading.active_count() == threads
 
     @pytest.mark.parametrize("u", [0.0, np.nextafter(1.0, 0.0)])
     def test_extreme_uniforms_draw_legal_slots(self, u):
@@ -529,8 +612,11 @@ class TestBlockedRollout:
         """Past one block, sampling 8 blocks' rows traces less extra memory
         than one float per extra row and layer-1 unit: the rows' outputs
         (assignments, uniforms, m_est and the returned list) are far smaller,
-        and any full-batch (rows, h1) rollout state would exceed it alone."""
+        and any full-batch (rows, h1) rollout state would exceed it alone.
+        Two cores hold two pooled blocks of 32 rows in flight, whatever the
+        machine; each core adds a block."""
         monkeypatch.setattr(gflownet, "ROLLOUT_BLOCK_ROWS", 64)
+        monkeypatch.setattr(gflownet, "_available_cores", lambda: 2)
         rng = np.random.Generator(np.random.PCG64(0))
         texts = {"".join(rng.choice(list("IXYZ"), size=4)) for _ in range(12)}
         h = QubitHamiltonian(4, [(float(rng.normal()), PauliWord.from_text(t)) for t in sorted(texts)])
