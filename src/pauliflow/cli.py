@@ -5,7 +5,9 @@ timestamp is omitted and wall times are zeroed so identical invocations
 produce byte-identical bytes. Exit codes: 0 success, 2 bad input, flags or
 output path (a missing output directory, or an input whose m_est overflows
 at --epsilon or whose reward overflows at --lambda0, is caught before any
-work), 3 numeric training failure, 4 invalid coloring for export-graph.
+work; a sampler or sample count too large to hold in memory, or a
+--bin-width too fine for a bin index, when it is met), 3 numeric training
+failure, 4 invalid coloring for export-graph.
 """
 from __future__ import annotations
 
@@ -143,7 +145,13 @@ def _run_method(h, graph, method: str, args, config: TrainConfig) -> dict:
         except GraphSizeError as err:
             raise CliInputError(f"exact: {err}; see --vertex-limit") from err
     elif method == "gflownet":
-        sampler = train(h, config)
+        try:  # the input layer grows with --mask-extra, each batch with --traj-per-iter
+            sampler = train(h, config)
+        except MemoryError as err:
+            raise CliInputError(
+                f"--mask-extra {args.mask_extra}, --traj-per-iter {args.traj_per_iter}: "
+                f"the sampler does not fit in memory: {err}"
+            ) from err
         best = sampler.best
         coloring = Coloring(best.assignment)
         extra = {
@@ -281,6 +289,8 @@ def cmd_histogram(args) -> int:
     width = args.bin_width if args.bin_width is not None else (hi - lo) / 100.0
     if width <= 0:
         width = max(abs(hi), 1.0)  # all samples identical: one bin
+    if not (hi - lo) / width < 2.0**63:
+        raise CliInputError(f"--bin-width {args.bin_width} cuts the m_est range {hi - lo!r} into too many bins")
     bins = np.floor((m_values - lo) / width).astype(np.int64)
     counts: dict[tuple[int, int], int] = {}
     for c, b in zip(colors, bins):
@@ -310,7 +320,7 @@ def cmd_export_graph(args) -> int:
         raise CliInputError(f"{args.coloring}: not valid JSON: {err}") from err
     if isinstance(payload, dict):
         payload = payload.get("assignment", payload.get("coloring"))
-    if not isinstance(payload, list) or not all(isinstance(v, int) for v in payload):
+    if not isinstance(payload, list) or not all(type(v) is int for v in payload):  # bool is an int
         raise CliInputError(f"{args.coloring}: expected a list of colors")
 
     try:
@@ -318,7 +328,7 @@ def cmd_export_graph(args) -> int:
         if coloring.n_vertices != graph.n_vertices or not validate_coloring(graph, coloring):
             print("coloring is not a proper coloring of this graph", file=sys.stderr)
             return 4
-    except (InvalidColoringError, IncompleteColoringError, ValueError) as err:
+    except (InvalidColoringError, IncompleteColoringError, ValueError, OverflowError) as err:
         print(f"invalid coloring: {err}", file=sys.stderr)
         return 4
     grouping = coloring_to_grouping(graph, coloring)

@@ -54,6 +54,7 @@ from .nn import (
     DenseNet,
     NumericError,
     adam_accumulate_and_step,
+    check_addressable,
     check_finite,
     load_checkpoint,
     save_checkpoint,
@@ -107,8 +108,8 @@ class ColoringMDP:
 # color slot per vertex plus the cursor), so the input layer never needs the
 # dense encoding: forwards gather rows of W0, and along a trajectory each W0
 # row is active over a contiguous step range, which turns the input-layer
-# gradient into prefix/suffix sums. Equivalence with the dense DenseNet path
-# is pinned by tests.
+# gradient into prefix/suffix sums. These are the network's only input-layer
+# pass; tests pin them to a dense x @ W0 + b0 reference.
 
 
 def _l1_start(net: DenseNet, mdp: ColoringMDP) -> np.ndarray:
@@ -348,7 +349,8 @@ def _sample_batch(
     (see _BatchRollout).
 
     One call draws every uniform, u (n, batch), step-major, so u[k] holds
-    what rng.random(batch) at step k would give. The rows then roll out in
+    what rng.random(batch) at step k would give; a batch whose uniforms do
+    not fit raises MemoryError before any draw. The rows then roll out in
     near-equal blocks of at most ROLLOUT_BLOCK_ROWS, with the samples of one
     batch: no block is a small remainder, for which BLAS would round the
     logits differently (gemv for one row). A draw is clipped to the row's
@@ -367,6 +369,7 @@ def _sample_batch(
     smaller on more cores for that reason. A single block (every training
     batch) or a single core rolls inline, with no thread and no copy.
     """
+    check_addressable((mdp.n_vertices, batch))
     u = rng.random((mdp.n_vertices, batch))
     rollout = _BatchRollout(net, mdp, batch, record)
     cores = _available_cores() if batch > ROLLOUT_BLOCK_ROWS else 1
@@ -564,8 +567,6 @@ def train(h: QubitHamiltonian, config: TrainConfig | None = None) -> TrainedSamp
     """
     if config is None:
         config = TrainConfig()
-    if h.n_terms == 0:
-        raise ValueError("Hamiltonian has no groupable terms")
     graph = build_complement_graph(h, config.mode)
     cap = greedy_color(graph, "random_sequential", seed=config.seed).max_color
     cap += config.mask_extra_colors

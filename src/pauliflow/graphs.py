@@ -242,10 +242,8 @@ def coloring_to_grouping(g: CompatGraph, coloring: Coloring) -> Grouping:
     if not validate_coloring(g, coloring):
         raise InvalidColoringError("coloring is not proper for this graph")
     a = coloring.assignment
-    groups = tuple(
-        tuple(int(v) for v in np.flatnonzero(a == c)) for c in range(1, coloring.max_color + 1)
-    )
-    return Grouping(tuple(grp for grp in groups if grp))
+    colors = sorted(set(a.tolist()))  # the colors used, however large
+    return Grouping(tuple(tuple(int(v) for v in np.flatnonzero(a == c)) for c in colors))
 
 
 # distinct fill colors for DOT output, reused cyclically past 12 groups

@@ -23,7 +23,7 @@ import os
 import re
 from typing import IO, Union
 
-from .pauli import DEFAULT_PRUNE_TOL, DimensionError, PauliFormatError, PauliWord, QubitHamiltonian
+from .pauli import DimensionError, PauliFormatError, PauliWord, QubitHamiltonian
 
 Source = Union[str, os.PathLike, IO[bytes], IO[str]]
 
@@ -63,7 +63,7 @@ def _parse_word(spec: str, n_qubits: int, line_no: int) -> PauliWord | None:
         raise HamiltonianParseError(line_no, str(err)) from None
 
 
-def load_hamiltonian(source: Source, prune_tol: float = DEFAULT_PRUNE_TOL) -> QubitHamiltonian:
+def load_hamiltonian(source: Source) -> QubitHamiltonian:
     """Parse and canonicalize a Hamiltonian from a path, text, or byte stream."""
     text = _read_text(source)
     n_qubits = None
@@ -97,7 +97,7 @@ def load_hamiltonian(source: Source, prune_tol: float = DEFAULT_PRUNE_TOL) -> Qu
             terms.append((coeff, word))
     if n_qubits is None:
         raise HamiltonianParseError(1, "missing 'qubits: <n>' header")
-    return QubitHamiltonian(n_qubits, terms, identity_offset=offset, prune_tol=prune_tol)
+    return QubitHamiltonian(n_qubits, terms, identity_offset=offset)
 
 
 def dump_hamiltonian(h: QubitHamiltonian) -> str:
@@ -127,9 +127,9 @@ def write_hamiltonian(h: QubitHamiltonian, sink: Union[str, os.PathLike, IO[byte
             sink.write(text.encode("utf-8"))
 
 
-def loads_hamiltonian(text: str, prune_tol: float = DEFAULT_PRUNE_TOL) -> QubitHamiltonian:
+def loads_hamiltonian(text: str) -> QubitHamiltonian:
     """Parse from an in-memory string."""
-    return load_hamiltonian(io.StringIO(text), prune_tol=prune_tol)
+    return load_hamiltonian(io.StringIO(text))
 
 
 def bundled_path(name: str) -> str:

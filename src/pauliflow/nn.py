@@ -3,15 +3,18 @@ and versioned checkpoints of the network alone.
 
 Float64 throughout. Hidden layers use tanh; the output layer is linear and is
 interpreted downstream as log-flows, so flows stay positive by construction.
-forward/backward accept a single input vector or a batch (rows), and are pure
-given the parameters; the optimizer mutates parameters, moments and its
-gradient accumulator in place, a block of rows at a time, and must be
-serialized externally (one writer at a time). The first layer's gradient may
-arrive row-sparse: only the rows it touches, with their indices.
+The network takes no input vectors: its inputs are one-hot state encodings,
+so the sampler in gflownet forms the layer-1 preactivations by adding rows
+of W0, and forward_from_pre/backward_to_pre run the layers above. Both are
+pure given the parameters. The first layer's gradient is always row-sparse:
+only the rows it touches, with their indices. The optimizer mutates
+parameters, moments and its gradient accumulator in place, a block of rows
+at a time, and must be serialized externally (one writer at a time).
 """
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,6 +23,9 @@ from .pauli import DimensionError
 
 CHECKPOINT_VERSION = 1
 ADAM_BLOCK_BYTES = 1 << 20  # the Adam step's scratch: one block of rows
+ADAM_BETA1 = 0.9  # moment decay rates and the denominator's guard
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 class NumericError(RuntimeError):
@@ -30,11 +36,12 @@ class DenseNet:
     def __init__(self, weights: list[np.ndarray], biases: list[np.ndarray]):
         if len(weights) != len(biases) or not weights:
             raise ValueError("need one bias vector per weight matrix")
-        for w, b in zip(weights, biases):
-            if w.shape[1] != b.shape[0]:
-                raise DimensionError(f"bias shape {b.shape} does not match weight {w.shape}")
         self.weights = [np.asarray(w, dtype=np.float64) for w in weights]
         self.biases = [np.asarray(b, dtype=np.float64) for b in biases]
+        shapes = [w.shape for w in self.weights], [b.shape for b in self.biases]
+        layers = all(len(w) == 2 and b == w[1:] for w, b in zip(*shapes))
+        if not layers or any(w[1] != above[0] for w, above in zip(shapes[0], shapes[0][1:])):
+            raise DimensionError(f"weights {shapes[0]} and biases {shapes[1]} do not form a network")
 
     @classmethod
     def initialize(cls, layer_sizes: list[int], seed: int = 0) -> "DenseNet":
@@ -44,6 +51,7 @@ class DenseNet:
         rng = np.random.Generator(np.random.PCG64(seed))
         weights, biases = [], []
         for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
+            check_addressable((fan_in, fan_out))
             bound = 1.0 / np.sqrt(fan_in)
             weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
             biases.append(rng.uniform(-bound, bound, size=fan_out))
@@ -64,26 +72,6 @@ class DenseNet:
             out.extend((w, b))
         return out
 
-    def n_parameters(self) -> int:
-        return sum(p.size for p in self.parameters())
-
-    def _check_input(self, x: np.ndarray) -> tuple[np.ndarray, bool]:
-        x = np.asarray(x, dtype=np.float64)
-        single = x.ndim == 1
-        if single:
-            x = x[None, :]
-        if x.ndim != 2 or x.shape[1] != self.layer_sizes[0]:
-            raise DimensionError(
-                f"input width {x.shape[-1] if x.ndim else 0} != expected {self.layer_sizes[0]}"
-            )
-        return x, single
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        """Outputs for a vector (d,) or batch (B, d); same leading shape back."""
-        x, single = self._check_input(x)
-        out, _ = self.forward_from_pre(x @ self.weights[0] + self.biases[0])
-        return out[0] if single else out
-
     def forward_from_pre(self, pre: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
         """Outputs for rows of layer-1 preactivations (B, h1), plus the tanh
         activations of every hidden layer (empty for a one-layer net)."""
@@ -98,25 +86,6 @@ class DenseNet:
         out = h @ self.weights[-1]
         out += self.biases[-1]
         return out, hidden
-
-    def backward(self, x: np.ndarray, output_grad: np.ndarray) -> list[np.ndarray]:
-        """Gradient of <forward(x), output_grad> w.r.t. parameters.
-
-        Batched inputs sum gradients over rows. Returns arrays shaped like
-        parameters().
-        """
-        x, single = self._check_input(x)
-        gout = np.asarray(output_grad, dtype=np.float64)
-        if single:
-            gout = gout[None, :]
-        if gout.shape != (x.shape[0], self.layer_sizes[-1]):
-            raise DimensionError(
-                f"output_grad shape {gout.shape} does not match ({x.shape[0]}, {self.layer_sizes[-1]})"
-            )
-        _, hidden = self.forward_from_pre(x @ self.weights[0] + self.biases[0])
-        grads, delta = self.backward_to_pre(hidden, gout)
-        grads[0], grads[1] = x.T @ delta, delta.sum(axis=0)
-        return grads
 
     def backward_to_pre(
         self, hidden: list[np.ndarray], gout: np.ndarray
@@ -136,18 +105,12 @@ class DenseNet:
             del slope  # before the next layer's product allocates
         return grads, delta
 
-    def copy(self) -> "DenseNet":
-        return DenseNet([w.copy() for w in self.weights], [b.copy() for b in self.biases])
-
 
 @dataclass
 class AdamState:
     """Adam moments plus a gradient accumulator that averages over a period."""
 
     lr: float = 3e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     accumulation_period: int = 10
     t: int = 0
     m: list[np.ndarray] = field(default_factory=list)
@@ -168,29 +131,28 @@ class AdamState:
 
 
 def adam_accumulate_and_step(
-    state: AdamState, params: list[np.ndarray], grads: list[np.ndarray], rows0=None
+    state: AdamState, params: list[np.ndarray], grads: list[np.ndarray], rows0: np.ndarray
 ) -> bool:
     """Accumulate one gradient; on every accumulation_period-th call, apply one
-    bias-corrected Adam update with the averaged gradient and reset. With
-    rows0 (distinct row indices), grads[0] holds only those rows of the first
-    parameter's gradient, and its other rows are zero. The update runs in
+    bias-corrected Adam update with the averaged gradient and reset. grads[0]
+    holds only the rows rows0 (distinct row indices) of the first
+    parameter's gradient, whose other rows are zero. The update runs in
     place, block by block of rows, with one block-sized scratch array at a
     time. Returns True when parameters changed."""
     if len(grads) != len(params):
         raise DimensionError(f"{len(grads)} gradient arrays for {len(params)} parameters")
     for i, (acc, g, p) in enumerate(zip(state.accum, grads, params)):
-        sparse = i == 0 and rows0 is not None
-        want = (len(rows0), *p.shape[1:]) if sparse else p.shape
+        want = (len(rows0), *p.shape[1:]) if i == 0 else p.shape
         if g.shape != want:
             raise DimensionError(f"gradient shape {g.shape} does not match {want}")
-        acc[rows0 if sparse else ...] += g
+        acc[rows0 if i == 0 else ...] += g
     state.accum_count += 1
     if state.accum_count < state.accumulation_period:
         return False
 
     state.t += 1
-    bc1 = 1.0 - state.beta1**state.t
-    bc2 = 1.0 - state.beta2**state.t
+    bc1 = 1.0 - ADAM_BETA1**state.t
+    bc2 = 1.0 - ADAM_BETA2**state.t
     for arrays in zip(params, state.m, state.v, state.accum):
         block = max(1, ADAM_BLOCK_BYTES * len(arrays[0]) // max(arrays[0].nbytes, 1))
         for lo in range(0, len(arrays[0]), block):
@@ -199,13 +161,13 @@ def adam_accumulate_and_step(
             # zero again; scratch holds the other temporaries in turn
             scratch = np.empty_like(p)
             g = np.divide(acc, state.accumulation_period, out=acc)
-            m *= state.beta1
-            m += np.multiply(g, 1.0 - state.beta1, out=scratch)
-            v *= state.beta2
+            m *= ADAM_BETA1
+            m += np.multiply(g, 1.0 - ADAM_BETA1, out=scratch)
+            v *= ADAM_BETA2
             np.square(g, out=scratch)
-            v += np.multiply(scratch, 1.0 - state.beta2, out=scratch)
+            v += np.multiply(scratch, 1.0 - ADAM_BETA2, out=scratch)
             denom = np.sqrt(np.divide(v, bc2, out=scratch), out=scratch)
-            denom += state.eps
+            denom += ADAM_EPS
             step = np.divide(m, bc1, out=acc)
             step *= state.lr
             step /= denom
@@ -213,6 +175,14 @@ def adam_accumulate_and_step(
             acc[...] = 0.0
     state.accum_count = 0
     return True
+
+
+def check_addressable(shape: tuple[int, ...]) -> None:
+    """MemoryError for a float64 array of this shape that no address space
+    holds. numpy raises MemoryError for an array it cannot allocate, but
+    ValueError for one whose size in bytes does not fit in an intp."""
+    if math.prod(shape) * 8 > np.iinfo(np.intp).max:
+        raise MemoryError(f"an array of shape {shape} exceeds the address space")
 
 
 def check_finite(net: DenseNet, context: str = "") -> None:

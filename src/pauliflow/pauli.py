@@ -176,8 +176,8 @@ class QubitHamiltonian:
 
     Construction canonicalizes: duplicate words are merged by coefficient
     addition, all-identity words fold into identity_offset, and terms with
-    |coefficient| below prune_tol are dropped. Term order is first-appearance
-    order after merging.
+    |coefficient| below DEFAULT_PRUNE_TOL are dropped. Term order is
+    first-appearance order after merging.
     """
 
     def __init__(
@@ -185,7 +185,6 @@ class QubitHamiltonian:
         n_qubits: int,
         terms: Iterable[tuple[float, PauliWord]] = (),
         identity_offset: float = 0.0,
-        prune_tol: float = DEFAULT_PRUNE_TOL,
     ):
         if n_qubits <= 0:
             raise ValueError(f"n_qubits must be positive, got {n_qubits}")
@@ -202,7 +201,7 @@ class QubitHamiltonian:
                 merged[word] = merged.get(word, 0.0) + float(coeff)
         self.n_qubits = n_qubits
         self.terms: tuple[tuple[float, PauliWord], ...] = tuple(
-            (c, w) for w, c in merged.items() if abs(c) >= prune_tol
+            (c, w) for w, c in merged.items() if abs(c) >= DEFAULT_PRUNE_TOL
         )
         self.identity_offset = offset
 

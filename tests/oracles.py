@@ -7,8 +7,10 @@ The coloring MDP here is this file's own, not the package's, which runs the
 MDP only as the lockstep batch rollout: legal_actions, color_of and
 encode_state take one state (mdp, assignment, cursor) and rebuild its mask,
 the color an action gives, and its dense one-hot encoding from the
-definitions. The flow-matching oracle feeds those dense encodings to
-DenseNet.forward/backward one trajectory at a time. enumerate_terminals
+definitions. dense_forward/dense_backward run a network on such dense
+inputs, with the input layer as x @ W0 + b0 and x.T @ delta and the layers
+above through the package's forward_from_pre/backward_to_pre; the
+flow-matching oracle feeds them one trajectory at a time. enumerate_terminals
 instead forces every action row through one batch rollout, so it enumerates
 the mask the sampler draws from.
 
@@ -194,6 +196,23 @@ def terminal_metrics_row(h, assignment, cfg):
     return m_est, float(h.n_terms - colors) + cfg.lambda0 / m_est, colors
 
 
+def dense_forward(net, x):
+    """Outputs for one input vector (d,) or rows (B, d), same leading shape."""
+    x = np.asarray(x, dtype=np.float64)
+    out, _ = net.forward_from_pre(np.atleast_2d(x) @ net.weights[0] + net.biases[0])
+    return out if x.ndim == 2 else out[0]
+
+
+def dense_backward(net, x, gout):
+    """Gradient of <dense_forward(net, x), gout> with respect to
+    net.parameters(), summed over rows."""
+    x, gout = np.atleast_2d(x), np.atleast_2d(gout)
+    _, hidden = net.forward_from_pre(x @ net.weights[0] + net.biases[0])
+    grads, delta = net.backward_to_pre(hidden, gout)
+    grads[0], grads[1] = x.T @ delta, delta.sum(axis=0)
+    return grads
+
+
 def flow_matching_loss_dense(net, mdp, actions, rewards):
     """Batch-mean flow-matching loss and parameter gradients, per trajectory
     from dense encodings of its states s_0 .. s_{n-1}; legal colors come from
@@ -205,7 +224,7 @@ def flow_matching_loss_dense(net, mdp, actions, rewards):
         states = trajectory_states(mdp, actions[b])
         enc = np.stack([encode_state(mdp, states[k], k) for k in range(n)])
         masks = [legal_actions(mdp, states[k], k) for k in range(n)]
-        out = net.forward(enc)
+        out = dense_forward(net, enc)
         gout = np.zeros_like(out)
         for k in range(1, n + 1):
             inflow = out[k - 1, actions[b, k - 1]]
@@ -221,7 +240,7 @@ def flow_matching_loss_dense(net, mdp, actions, rewards):
             if k < n:
                 softmax = np.where(masks[k], np.exp(out[k] - top), 0.0)
                 gout[k] -= 2.0 * residual * softmax / softmax.sum()
-        for acc, g in zip(grads, net.backward(enc, gout)):
+        for acc, g in zip(grads, dense_backward(net, enc, gout)):
             acc += g
     return total / batch, [g / batch for g in grads]
 
@@ -278,28 +297,29 @@ def input_layer_grad_dense(net, mdp, actions, delta):
     return dw0
 
 
-def adam_accumulate_and_step_reference(state, params, grads, rows0=None):
+def adam_accumulate_and_step_reference(state, params, grads, rows0):
     """The Adam update with accumulation, written with array temporaries;
-    with rows0, grads[0] is scattered into a dense zero array first."""
-    if rows0 is not None:
-        dense = np.zeros_like(params[0])
-        dense[rows0] = grads[0]
-        grads = [dense, *grads[1:]]
+    grads[0], the rows rows0 of the first gradient, is scattered into a dense
+    zero array first."""
+    beta1, beta2, eps = 0.9, 0.999, 1e-8  # Adam's usual settings
+    dense = np.zeros_like(params[0])
+    dense[rows0] = grads[0]
+    grads = [dense, *grads[1:]]
     for acc, g in zip(state.accum, grads):
         acc += g
     state.accum_count += 1
     if state.accum_count < state.accumulation_period:
         return False
     state.t += 1
-    bc1 = 1.0 - state.beta1**state.t
-    bc2 = 1.0 - state.beta2**state.t
+    bc1 = 1.0 - beta1**state.t
+    bc2 = 1.0 - beta2**state.t
     for p, m, v, acc in zip(params, state.m, state.v, state.accum):
         g = acc / state.accumulation_period
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g**2
-        p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * g**2
+        p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
         acc[...] = 0.0
     state.accum_count = 0
     return True

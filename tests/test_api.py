@@ -13,6 +13,13 @@ REMOVED = {
     "pauliflow.measurement": ("reward",),
 }
 
+# The network takes no input vectors (the sampler adds rows of W0), and Adam's
+# rates and guard are module constants.
+REMOVED_ATTRIBUTES = {
+    ("pauliflow.nn", "DenseNet"): ("forward", "backward", "_check_input", "n_parameters", "copy"),
+    ("pauliflow.nn", "AdamState"): ("beta1", "beta2", "eps"),
+}
+
 
 def test_every_exported_name_imports():
     namespace = {}
@@ -26,3 +33,9 @@ def test_removed_names_are_not_exported():
         for name in names:
             assert not hasattr(importlib.import_module(module), name), f"{module}.{name}"
     assert not set(REMOVED["pauliflow"]) & set(pauliflow.__all__)
+    instances = {"DenseNet": pauliflow.DenseNet.initialize([2, 2]), "AdamState": pauliflow.AdamState()}
+    for (module, cls), names in REMOVED_ATTRIBUTES.items():
+        owner = getattr(importlib.import_module(module), cls)
+        for name in names:
+            assert not hasattr(owner, name), f"{module}.{cls}.{name}"
+            assert not hasattr(instances[cls], name), f"{module}.{cls}().{name}"

@@ -149,6 +149,11 @@ BAD_INPUTS = {
     "seed-negative-gflownet": (["group", "--input", H2, "--mode", "fc", "--method", "gflownet", "--seed", "-1"], "seed"),
     "compare-seed-negative": (["compare", "--input", H2, "--mode", "fc", "--methods", "greedy-rs,gflownet", "--seed", "-1"], "seed"),
     "mask-extra-negative": (["group", "--input", H2, "--mode", "fc", "--method", "gflownet", "--mask-extra", "-1"], "mask_extra"),
+    # samplers larger than any address space: a 50.9 PiB input layer, one whose
+    # byte count numpy cannot represent, and 1019 TiB of uniforms per batch
+    "mask-extra-too-large": (["group", "--input", H2, "--mode", "fc", "--method", "gflownet", "--mask-extra", "1000000000000"], "--mask-extra 1000000000000,"),
+    "mask-extra-beyond-intp": (["group", "--input", H2, "--mode", "fc", "--method", "gflownet", "--mask-extra", "1000000000000000"], "--mask-extra 1000000000000000,"),
+    "traj-per-iter-too-large": (["group", "--input", H2, "--mode", "fc", "--method", "gflownet", "--traj-per-iter", "10000000000000"], "--traj-per-iter 10000000000000:"),
     "exact-on-h4": (["group", "--input", H4, "--mode", "fc", "--method", "exact"], "exact-search limit"),
     "compare-exact-on-h4": (["compare", "--input", H4, "--mode", "fc", "--methods", "full,exact"], "exact-search limit"),
     "histogram-ham-as-checkpoint": (["histogram", "--checkpoint", H2, "--samples", "5"], "not a checkpoint"),
@@ -156,9 +161,15 @@ BAD_INPUTS = {
     "histogram-foreign-npz": (["histogram", "--checkpoint", "FOREIGN_NPZ", "--samples", "5"], "not a pauliflow checkpoint"),
     "histogram-no-metadata": (["histogram", "--checkpoint", "BARE_CHECKPOINT", "--samples", "5"], "not a pauliflow checkpoint"),
     "histogram-mismatched-cap": (["histogram", "--checkpoint", "MISMATCHED_CAP", "--samples", "5"], "color_cap"),
+    "histogram-unchained-layers": (["histogram", "--checkpoint", "UNCHAINED_W1", "--samples", "5"], "do not form a network"),
+    "histogram-1d-weight": (["histogram", "--checkpoint", "VECTOR_W0", "--samples", "5"], "do not form a network"),
     "histogram-seed-before-load": (["histogram", "--checkpoint", H2, "--samples", "5", "--seed", "-1"], "--seed"),
     # a count whose arrays numpy refuses at once (about 1000 TiB of uniforms)
     "histogram-samples-too-many": (["histogram", "--checkpoint", "H2_CHECKPOINT", "--samples", "10000000000000"], "--samples"),
+    # uniforms whose byte count numpy cannot even represent
+    "histogram-samples-beyond-intp": (["histogram", "--checkpoint", "H2_CHECKPOINT", "--samples", "10000000000000000000"], "--samples"),
+    # bin indices that no int64 holds
+    "histogram-bin-width-1e-320": (["histogram", "--checkpoint", "H2_CHECKPOINT", "--samples", "3", "--bin-width", "1e-320"], "--bin-width 1e-320"),
     # the bin width is checked before the checkpoint (here not one) is read
     "histogram-bin-width-negative": (["histogram", "--checkpoint", H2, "--samples", "5", "--bin-width", "-5"], "--bin-width"),
     "histogram-bin-width-0": (["histogram", "--checkpoint", H2, "--samples", "5", "--bin-width", "0"], "--bin-width"),
@@ -193,6 +204,8 @@ BAD_INPUTS = {
     "nan-identity": (["group", "--input", "NAN_IDENTITY.ham", "--mode", "fc", "--method", "full"], "line 2: non-finite"),
     "non-utf8-input": (["group", "--input", "NON_UTF8.ham", "--mode", "fc", "--method", "full"], "line 3: not UTF-8"),
     "non-utf8-coloring": (["export-graph", "--input", H2, "--mode", "fc", "--coloring", "NON_UTF8.json", "--out", "TMPDIR/g.dot"], "not UTF-8"),
+    # JSON true/false are not colors, though Python reads them as 1 and 0
+    "bool-coloring": (["export-graph", "--input", H2, "--mode", "fc", "--coloring", "BOOL.json", "--out", "TMPDIR/g.dot"], "expected a list of colors"),
 }
 
 # input files of the cases above, written into the test's directory under these names
@@ -204,6 +217,24 @@ BAD_FILES = {
     "NAN_IDENTITY.ham": b"qubits: 2\nnan I\n0.3 X1\n",
     "NON_UTF8.ham": b"qubits: 2\n0.5 Z0\n0.3 X\xff1\n",
     "NON_UTF8.json": b"[1, \xff]",
+    "BOOL.json": b"[true, true, true, true, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2]",
+}
+
+
+
+def raise_color_cap(arrays):
+    """A color_cap 3 more than the network's."""
+    metadata = json.loads(str(arrays["metadata"]))
+    metadata["color_cap"] += 3
+    arrays["metadata"] = np.array(json.dumps(metadata))
+
+
+# the small H2 FC checkpoint below, with one change to its arrays each
+BROKEN_CHECKPOINTS = {
+    "MISMATCHED_CAP": raise_color_cap,
+    # a second layer that takes one input more than the first gives
+    "UNCHAINED_W1": lambda a: a.update(w1=np.zeros((a["w0"].shape[1] + 1, a["w1"].shape[1]))),
+    "VECTOR_W0": lambda a: a.update(w0=a["w0"][:, 0]),
 }
 
 
@@ -228,19 +259,18 @@ def test_bad_input_exits_2_with_error_line(capsys, tmp_path, case):
         save_checkpoint(bare, net)
         argv = [str(bare) if arg == "BARE_CHECKPOINT" else arg for arg in argv]
     good = tmp_path / "good.npz"
-    if "H2_CHECKPOINT" in argv or "MISMATCHED_CAP" in argv:  # a small H2 FC checkpoint
+    broken = set(argv) & BROKEN_CHECKPOINTS.keys()
+    if "H2_CHECKPOINT" in argv or broken:  # a small H2 FC checkpoint
         config = TrainConfig(iterations=1, trajectories_per_iteration=2, hidden_sizes=(4,))
         train(load_hamiltonian(H2), config).save(good)
         argv = [str(good) if arg == "H2_CHECKPOINT" else arg for arg in argv]
-    if "MISMATCHED_CAP" in argv:  # that checkpoint with a color_cap 3 more than its network's
+    for name in broken:
         with np.load(good) as data:
             arrays = dict(data)
-        metadata = json.loads(str(arrays["metadata"]))
-        metadata["color_cap"] += 3
-        arrays["metadata"] = np.array(json.dumps(metadata))
+        BROKEN_CHECKPOINTS[name](arrays)
         bad = tmp_path / "bad.npz"
         np.savez(bad, **arrays)
-        argv = [str(bad) if arg == "MISMATCHED_CAP" else arg for arg in argv]
+        argv = [str(bad) if arg == name else arg for arg in argv]
     if argv[0] == "histogram" and "--out" not in argv:
         argv = argv + ["--out", str(tmp_path / "h.csv")]
     code, out, err = run(capsys, *argv)
@@ -398,6 +428,29 @@ class TestExportGraph:
             "--coloring", str(coloring), "--out", str(tmp_path / "g.dot"),
         )
         assert code == 4
+
+    @pytest.mark.parametrize("first", [10**29, 2**63])
+    def test_color_beyond_int64_exit_4(self, capsys, tmp_path, first):
+        coloring = tmp_path / "c.json"
+        coloring.write_text(json.dumps([first] + [2] * 13))
+        code, out, err = run(
+            capsys, "export-graph", "--input", H2, "--mode", "fc",
+            "--coloring", str(coloring), "--out", str(tmp_path / "g.dot"),
+        )
+        assert code == 4 and out == ""
+        assert err.startswith("invalid coloring: ") and err.count("\n") == 1
+
+    def test_large_colors_group_by_value(self, capsys, tmp_path):
+        """Groups come from the colors used, not from every color up to the largest."""
+        coloring = tmp_path / "c.json"
+        coloring.write_text(json.dumps([2**62] * 4 + [7] * 10))
+        out = tmp_path / "g.dot"
+        code, _, err = run(
+            capsys, "export-graph", "--input", H2, "--mode", "fc",
+            "--coloring", str(coloring), "--out", str(out),
+        )
+        assert code == 0, err
+        assert f"group={2**62}" in out.read_text()
 
     def test_color_permutations_share_annotation(self, capsys, tmp_path):
         h = load_hamiltonian(H2)

@@ -8,6 +8,7 @@ import pytest
 
 from oracles import (
     color_of,
+    dense_forward,
     encode_state,
     enumerate_terminals,
     estimate_measurements_oracle,
@@ -288,7 +289,7 @@ class TestForwardPolicy:
         rollout, _ = _sample_batch(net, mdp, 20000, np.random.Generator(np.random.PCG64(5)), record=True)
         state = trajectory_states(mdp, [0])[-1]  # the first vertex always takes color 1
         mask = legal_actions(mdp, state, 1)
-        logits = net.forward(encode_state(mdp, state, 1))
+        logits = dense_forward(net, encode_state(mdp, state, 1))
         probs = np.where(mask, np.exp(logits - logits[mask].max()), 0.0)
         probs /= probs.sum()
         assert probs.sum() == pytest.approx(1.0, abs=1e-12)
@@ -405,7 +406,7 @@ class TestSparseInputFastPath:
         rollout = _BatchRollout(net, mdp, 1)
         rollout.start(0, 1)
         for k in range(actions.size):
-            assert np.allclose(rollout.logits(k)[0], net.forward(enc[k]), atol=1e-10)
+            assert np.allclose(rollout.logits(k)[0], dense_forward(net, enc[k]), atol=1e-10)
             rollout.apply(k, actions[k : k + 1], masks[k][None])
 
     @pytest.mark.parametrize("n_vertices, p, seed", [(9, 0.5, 3), (10, 0.5, 1), (12, 0.4, 2)])
@@ -422,7 +423,7 @@ class TestSparseInputFastPath:
         for b in range(6):
             states = trajectory_states(mdp, rollout.actions[b, :-1])
             enc = np.stack([encode_state(mdp, a, k) for k, a in enumerate(states)])
-            assert np.allclose(rollout.log_flows[b], net.forward(enc), rtol=0, atol=1e-10)
+            assert np.allclose(rollout.log_flows[b], dense_forward(net, enc), rtol=0, atol=1e-10)
             _, dense_hidden = net.forward_from_pre(enc @ net.weights[0] + net.biases[0])
             for kept, dense in zip(rollout.hidden, dense_hidden, strict=True):
                 assert np.allclose(kept[b], dense, rtol=0, atol=1e-10)
@@ -656,7 +657,7 @@ class TestFlowMatchingLoss:
         targets = np.array([[np.log(r_a + r_b), 0.0], [np.log(r_a), np.log(r_b)]])
         w, *_ = np.linalg.lstsq(np.stack([e0, e1]), targets, rcond=None)
         net = DenseNet([w], [np.zeros(2)])
-        assert np.allclose(net.forward(np.stack([e0, e1])), targets, atol=1e-9)
+        assert np.allclose(dense_forward(net, np.stack([e0, e1])), targets, atol=1e-9)
 
         rng = np.random.Generator(np.random.PCG64(0))
         batch = sample_batch(net, mdp, rng, 4, hamiltonian=h, measurement=cfg)
