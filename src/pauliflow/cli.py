@@ -24,8 +24,6 @@ from .gflownet import TrainConfig, TrainedSampler, train, training_log_csv
 from .graphs import (
     Coloring,
     GraphSizeError,
-    IncompleteColoringError,
-    InvalidColoringError,
     build_complement_graph,
     coloring_to_dot,
     coloring_to_grouping,
@@ -101,6 +99,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_dot.add_argument("--out", required=True)
     p_dot.add_argument("--epsilon", type=float, default=1.6e-3)
     return parser
+
+
+def _check_flags(*checks: tuple[str, int, int]) -> None:
+    """CliInputError naming the first (flag, value, least) whose value is below least."""
+    for flag, value, least in checks:
+        if value < least:
+            raise CliInputError(f"{flag} must be >= {least}, got {value}")
 
 
 def _check_output_dirs(*paths: str | None) -> None:
@@ -184,7 +189,9 @@ def _run_method(h, graph, method: str, args, config: TrainConfig) -> dict:
 
 def _build_report(args, methods: list[str]) -> dict:
     _check_output_dirs(args.out, args.checkpoint, args.train_log)
-    try:  # validates --epsilon and the sampler flags whatever the methods
+    _check_flags(("--iterations", args.iterations, 1), ("--traj-per-iter", args.traj_per_iter, 1),
+                 ("--seed", args.seed, 0), ("--mask-extra", args.mask_extra, 0))
+    try:  # validates --epsilon and --lambda0 whatever the methods
         config = TrainConfig(
             iterations=args.iterations,
             trajectories_per_iteration=args.traj_per_iter,
@@ -266,10 +273,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_histogram(args) -> int:
-    if args.samples < 1:
-        raise CliInputError("--samples must be >= 1")
-    if args.seed < 0:
-        raise CliInputError(f"--seed must be >= 0, got {args.seed}")
+    _check_flags(("--samples", args.samples, 1), ("--seed", args.seed, 0))
     if args.bin_width is not None and not 0 < args.bin_width < float("inf"):
         raise CliInputError(f"--bin-width must be a positive, finite number, got {args.bin_width}")
     _check_output_dirs(args.out)
@@ -325,10 +329,10 @@ def cmd_export_graph(args) -> int:
 
     try:
         coloring = Coloring(np.asarray(payload, dtype=np.int64))
-        if coloring.n_vertices != graph.n_vertices or not validate_coloring(graph, coloring):
+        if not validate_coloring(graph, coloring):
             print("coloring is not a proper coloring of this graph", file=sys.stderr)
             return 4
-    except (InvalidColoringError, IncompleteColoringError, ValueError, OverflowError) as err:
+    except (ValueError, OverflowError) as err:  # the coloring errors are ValueErrors
         print(f"invalid coloring: {err}", file=sys.stderr)
         return 4
     grouping = coloring_to_grouping(graph, coloring)

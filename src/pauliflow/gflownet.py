@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import CompatGraph, Coloring, build_complement_graph, greedy_color
+from .graphs import CompatGraph, Coloring, build_complement_graph, greedy_color, validate_coloring
 from .hamio import dump_hamiltonian, loads_hamiltonian
 from .measurement import MeasurementConfig, batch_metrics
 from .nn import (
@@ -403,14 +403,10 @@ class TrainConfig:
     accumulation_period: int = 10
 
     def __post_init__(self):
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
-        if self.trajectories_per_iteration < 1:
-            raise ValueError("trajectories_per_iteration must be >= 1")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.mask_extra_colors < 0:
-            raise ValueError("mask_extra_colors must be >= 0")
+        bounds = ("iterations", 1), ("trajectories_per_iteration", 1), ("seed", 0), ("mask_extra_colors", 0)
+        for name, least in bounds:
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
         if self.mode not in ("fc", "qwc"):
             raise ValueError(f"mode must be 'fc' or 'qwc', got {self.mode!r}")
 
@@ -431,6 +427,14 @@ class DiscoveredGrouping:
     m_est: float
     reward: float
     first_iteration: int
+
+
+# the type of each metadata entry that TrainedSampler.save writes and load reads
+_METADATA_TYPES = {
+    "hamiltonian": str, "mode": str, "color_cap": int, "epsilon": float, "lambda0": float,
+    "seed": int, "iterations": int, "trajectories_per_iteration": int, "mask_extra_colors": int,
+    "learning_rate": float, "hidden_sizes": list, "accumulation_period": int,
+}
 
 
 class TrainedSampler:
@@ -519,25 +523,30 @@ class TrainedSampler:
         """The sampler a checkpoint holds: its network, config and best grouping,
         without the training log or the other discovered groupings."""
         net, metadata = load_checkpoint(path)
-        try:
-            h = loads_hamiltonian(metadata["hamiltonian"])
-            color_cap = int(metadata["color_cap"])
-            config = TrainConfig(
-                iterations=int(metadata["iterations"]),
-                trajectories_per_iteration=int(metadata["trajectories_per_iteration"]),
-                seed=int(metadata["seed"]),
-                mask_extra_colors=int(metadata["mask_extra_colors"]),
-                measurement=MeasurementConfig(
-                    epsilon=float(metadata["epsilon"]), lambda0=float(metadata["lambda0"])
-                ),
-                mode=metadata["mode"],
-                learning_rate=float(metadata["learning_rate"]),
-                hidden_sizes=tuple(metadata["hidden_sizes"]),
-                accumulation_period=int(metadata["accumulation_period"]),
-            )
-        except KeyError as err:  # written by save_checkpoint without the sampler's metadata
-            missing = err.args[0]
-            raise ValueError(f"not a pauliflow checkpoint: no {missing!r} in its metadata") from err
+        if not isinstance(metadata, dict):
+            raise ValueError(f"its metadata {metadata!r} is not a JSON object")
+        for key, kind in _METADATA_TYPES.items():
+            if key not in metadata:  # written by save_checkpoint without the sampler's metadata
+                raise ValueError(f"not a pauliflow checkpoint: no {key!r} in its metadata")
+            value = metadata[key]  # JSON: a float may be written as an int, and a bool is an int
+            if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+                raise ValueError(f"its {key} {value!r} is not of type {kind.__name__}")
+        hidden_sizes = net.layer_sizes[1:-1]
+        if metadata["hidden_sizes"] != hidden_sizes:
+            raise ValueError(f"its hidden_sizes {metadata['hidden_sizes']} are not its network's {hidden_sizes}")
+        h = loads_hamiltonian(metadata["hamiltonian"])
+        color_cap = metadata["color_cap"]
+        config = TrainConfig(
+            iterations=metadata["iterations"],
+            trajectories_per_iteration=metadata["trajectories_per_iteration"],
+            seed=metadata["seed"],
+            mask_extra_colors=metadata["mask_extra_colors"],
+            measurement=MeasurementConfig(epsilon=float(metadata["epsilon"]), lambda0=float(metadata["lambda0"])),
+            mode=metadata["mode"],
+            learning_rate=float(metadata["learning_rate"]),
+            hidden_sizes=tuple(hidden_sizes),
+            accumulation_period=metadata["accumulation_period"],
+        )
         mdp = ColoringMDP(build_complement_graph(h, config.mode), color_cap)
         if net.layer_sizes[0] != mdp.encoding_dim or net.layer_sizes[-1] != color_cap:
             raise ValueError(
@@ -546,8 +555,12 @@ class TrainedSampler:
             )
         sampler = cls(h, mdp, net, config)
         best = metadata.get("best_assignment")
-        if best is not None:
-            row = np.asarray(best, dtype=np.int64)
+        if best is not None:  # a proper coloring in colors 1..n, as every sampled row is
+            n = mdp.n_vertices
+            in_range = isinstance(best, list) and all(type(c) is int and 0 < c <= n for c in best)
+            if not (in_range and len(best) == n and validate_coloring(mdp.graph, Coloring(np.array(best)))):
+                raise ValueError(f"its best_assignment is not a proper coloring of its {n} terms by colors 1..{n}")
+            row = np.array(best, dtype=np.int64)
             m_est, rew, colors = batch_metrics(h, row[None], config.measurement)
             found = DiscoveredGrouping(row, int(colors[0]), float(m_est[0]), float(rew[0]), -1)
             sampler.discovered[row.tobytes()] = found

@@ -11,21 +11,19 @@ followed by either sparse Pauli tokens (0-based qubit indices, strictly
 ascending) or the single token "I" for the identity contribution. Terms are
 parsed by PauliWord.from_text, so a dense letter string of the declared width
 ("XIZY") is read as well; writing always uses sparse tokens. "#" lines and
-blank lines are ignored. UTF-8; LF or CRLF accepted on read, LF written.
-Loading canonicalizes (duplicates merged, identity folded into the offset,
-sub-tolerance terms pruned), so load(write(h)) == h for canonical h.
+blank lines are ignored. Files are UTF-8; LF or CRLF accepted on read, LF
+written. A Hamiltonian is read from a file path or from text, and written to
+a file path or to text. Loading canonicalizes through QubitHamiltonian
+(duplicates merged, identity words folded into the offset, sub-tolerance
+terms pruned), so loads(dump(h)) == h for canonical h.
 """
 from __future__ import annotations
 
-import io
 import math
 import os
 import re
-from typing import IO, Union
 
 from .pauli import DimensionError, PauliFormatError, PauliWord, QubitHamiltonian
-
-Source = Union[str, os.PathLike, IO[bytes], IO[str]]
 
 _HEADER = re.compile(r"^qubits:\s*(\d+)\s*$")
 
@@ -38,37 +36,22 @@ class HamiltonianParseError(ValueError):
         self.line_no = line_no
 
 
-def _read_text(source: Source) -> str:
-    if isinstance(source, (str, os.PathLike)):
-        with open(source, "rb") as f:
-            data = f.read()
-    else:
-        data = source.read()
-    if isinstance(data, bytes):
-        try:
-            data = data.decode("utf-8")
-        except UnicodeDecodeError as err:
-            line_no = data.count(b"\n", 0, err.start) + 1
-            raise HamiltonianParseError(line_no, f"not UTF-8 ({err.reason})") from None
-    return data
-
-
-def _parse_word(spec: str, n_qubits: int, line_no: int) -> PauliWord | None:
-    """Returns None for the identity token."""
-    if spec == "I":
-        return None
+def load_hamiltonian(path: str | os.PathLike) -> QubitHamiltonian:
+    """Parse and canonicalize the Hamiltonian in the UTF-8 file at path."""
+    with open(path, "rb") as f:
+        data = f.read()
     try:
-        return PauliWord.from_text(spec, n_qubits)
-    except (PauliFormatError, DimensionError) as err:
-        raise HamiltonianParseError(line_no, str(err)) from None
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        line_no = data.count(b"\n", 0, err.start) + 1
+        raise HamiltonianParseError(line_no, f"not UTF-8 ({err.reason})") from None
+    return loads_hamiltonian(text)
 
 
-def load_hamiltonian(source: Source) -> QubitHamiltonian:
-    """Parse and canonicalize a Hamiltonian from a path, text, or byte stream."""
-    text = _read_text(source)
+def loads_hamiltonian(text: str) -> QubitHamiltonian:
+    """Parse and canonicalize a Hamiltonian from its text."""
     n_qubits = None
     terms: list[tuple[float, PauliWord]] = []
-    offset = 0.0
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -90,14 +73,13 @@ def load_hamiltonian(source: Source) -> QubitHamiltonian:
             raise HamiltonianParseError(line_no, f"non-numeric coefficient {fields[0]!r}") from None
         if not math.isfinite(coeff):
             raise HamiltonianParseError(line_no, f"non-finite coefficient {fields[0]!r}")
-        word = _parse_word(fields[1].strip(), n_qubits, line_no)
-        if word is None:
-            offset += coeff
-        else:
-            terms.append((coeff, word))
+        try:
+            terms.append((coeff, PauliWord.from_text(fields[1], n_qubits)))
+        except (PauliFormatError, DimensionError) as err:
+            raise HamiltonianParseError(line_no, str(err)) from None
     if n_qubits is None:
         raise HamiltonianParseError(1, "missing 'qubits: <n>' header")
-    return QubitHamiltonian(n_qubits, terms, identity_offset=offset)
+    return QubitHamiltonian(n_qubits, terms)
 
 
 def dump_hamiltonian(h: QubitHamiltonian) -> str:
@@ -110,26 +92,10 @@ def dump_hamiltonian(h: QubitHamiltonian) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_hamiltonian(h: QubitHamiltonian, sink: Union[str, os.PathLike, IO[bytes], IO[str]]) -> None:
-    """Write the canonical text form to a path or stream (UTF-8, LF)."""
-    text = dump_hamiltonian(h)
-    if isinstance(sink, (str, os.PathLike)):
-        with open(sink, "w", encoding="utf-8", newline="\n") as f:
-            f.write(text)
-    elif isinstance(sink, (io.RawIOBase, io.BufferedIOBase)) or (
-        hasattr(sink, "mode") and "b" in getattr(sink, "mode", "")
-    ):
-        sink.write(text.encode("utf-8"))
-    else:
-        try:
-            sink.write(text)
-        except TypeError:
-            sink.write(text.encode("utf-8"))
-
-
-def loads_hamiltonian(text: str) -> QubitHamiltonian:
-    """Parse from an in-memory string."""
-    return load_hamiltonian(io.StringIO(text))
+def write_hamiltonian(h: QubitHamiltonian, path: str | os.PathLike) -> None:
+    """Write dump_hamiltonian(h) to the file at path (UTF-8, LF)."""
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        f.write(dump_hamiltonian(h))
 
 
 def bundled_path(name: str) -> str:

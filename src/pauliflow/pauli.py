@@ -82,7 +82,7 @@ class PauliWord:
         The sparse form needs an explicit n_qubits and strictly ascending
         qubit indices, as to_sparse writes them; the token "I" denotes the
         all-identity word (n_qubits required). This is the package's one
-        sparse-token parser: the Hamiltonian file reader uses it too.
+        sparse-token parser: loads_hamiltonian parses every term with it.
         """
         text = text.strip()
         if not text:
@@ -175,20 +175,16 @@ class QubitHamiltonian:
     """Weighted sum of non-identity Pauli words plus a scalar identity offset.
 
     Construction canonicalizes: duplicate words are merged by coefficient
-    addition, all-identity words fold into identity_offset, and terms with
+    addition, all-identity words fold into identity_offset (summed in term
+    order; this is the package's only identity fold), and terms with
     |coefficient| below DEFAULT_PRUNE_TOL are dropped. Term order is
     first-appearance order after merging.
     """
 
-    def __init__(
-        self,
-        n_qubits: int,
-        terms: Iterable[tuple[float, PauliWord]] = (),
-        identity_offset: float = 0.0,
-    ):
+    def __init__(self, n_qubits: int, terms: Iterable[tuple[float, PauliWord]] = ()):
         if n_qubits <= 0:
             raise ValueError(f"n_qubits must be positive, got {n_qubits}")
-        offset = float(identity_offset)
+        offset = 0.0
         merged: dict[PauliWord, float] = {}
         for coeff, word in terms:
             if word.n_qubits != n_qubits:
@@ -214,10 +210,6 @@ class QubitHamiltonian:
 
     def words(self) -> tuple[PauliWord, ...]:
         return tuple(w for _, w in self.terms)
-
-    def one_norm(self) -> float:
-        """Sum of |coefficient| over non-identity terms."""
-        return float(np.sum(np.abs(self.coefficients()))) if self.terms else 0.0
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, QubitHamiltonian):

@@ -26,7 +26,8 @@ matrix), masks that read every later neighbor's blocked colors and per-row
 W0 gathers (the package's count blocked colors and add rows of a per-step
 delta table), and one row's m_est and reward (the package's take a whole
 batch in one bincount). flow_matching_loss_and_delta exposes the layer-1
-gradient that input_layer_grad_dense needs.
+gradient that input_layer_grad_dense needs. one_norm is the sum of a
+Hamiltonian's |coefficient|s, which no package code needs.
 """
 import itertools
 
@@ -72,6 +73,11 @@ def qwc_dense(letters_a: str, letters_b: str) -> bool:
 def all_words(n_qubits: int):
     """All 4**n letter strings on n qubits."""
     return ["".join(p) for p in itertools.product("IXYZ", repeat=n_qubits)]
+
+
+def one_norm(h) -> float:
+    """Sum of |coefficient| over h's non-identity terms."""
+    return float(np.sum(np.abs(h.coefficients())))
 
 
 def estimate_measurements_oracle(coeffs, groups, epsilon: float) -> float:

@@ -14,6 +14,8 @@ from pauliflow.graphs import Coloring, build_complement_graph, validate_coloring
 from pauliflow.hamio import bundled_path, load_hamiltonian
 from pauliflow.nn import DenseNet, save_checkpoint
 
+from oracles import one_norm
+
 H2 = bundled_path("h2_sto3g_1A_jw.ham")
 SYNTH = bundled_path("synthetic_10term.ham")
 H4 = bundled_path("h4_chain_sto3g_1A_jw.ham")
@@ -42,7 +44,7 @@ class TestGroup:
         h = load_hamiltonian(H2)
         rec = report["methods"][0]
         assert rec["color_count"] == 14
-        assert rec["m_est"] == pytest.approx(h.one_norm() ** 2 / 1.6e-3**2, rel=1e-12)
+        assert rec["m_est"] == pytest.approx(one_norm(h) ** 2 / 1.6e-3**2, rel=1e-12)
         assert report["n_p"] == 14
         assert report["system"] == "h2_sto3g_1A_jw"
 
@@ -141,14 +143,14 @@ BAD_INPUTS = {
     "compare-epsilon-1e-300": (["compare", "--input", H2, "--mode", "fc", "--methods", "full,greedy-lf", "--epsilon", "1e-300"], "epsilon"),
     "lambda0-inf": (["group", "--input", H2, "--mode", "fc", "--method", "gflownet", "--lambda0", "inf"], "lambda0"),
     "lambda0-negative": (["group", "--input", H2, "--mode", "fc", "--method", "gflownet", "--lambda0", "-1"], "lambda0"),
-    "iterations-0": (["group", "--input", H2, "--mode", "fc", "--method", "gflownet", "--iterations", "0"], "iterations"),
-    "traj-per-iter-0": (["group", "--input", H2, "--mode", "fc", "--method", "gflownet", "--traj-per-iter", "0"], "trajectories"),
-    # TrainConfig checks the seed before any method runs, so it holds for greedy-lf as well
-    "seed-negative-greedy-lf": (["group", "--input", H2, "--mode", "fc", "--method", "greedy-lf", "--seed", "-1"], "seed"),
-    "seed-negative-greedy-rs": (["group", "--input", H2, "--mode", "fc", "--method", "greedy-rs", "--seed", "-1"], "seed"),
-    "seed-negative-gflownet": (["group", "--input", H2, "--mode", "fc", "--method", "gflownet", "--seed", "-1"], "seed"),
-    "compare-seed-negative": (["compare", "--input", H2, "--mode", "fc", "--methods", "greedy-rs,gflownet", "--seed", "-1"], "seed"),
-    "mask-extra-negative": (["group", "--input", H2, "--mode", "fc", "--method", "gflownet", "--mask-extra", "-1"], "mask_extra"),
+    "iterations-0": (["group", "--input", H2, "--mode", "fc", "--method", "gflownet", "--iterations", "0"], "--iterations must be >= 1, got 0"),
+    "traj-per-iter-0": (["group", "--input", H2, "--mode", "fc", "--method", "gflownet", "--traj-per-iter", "0"], "--traj-per-iter must be >= 1, got 0"),
+    # the sampler flags are checked before any method runs, so --seed holds for greedy-lf as well
+    "seed-negative-greedy-lf": (["group", "--input", H2, "--mode", "fc", "--method", "greedy-lf", "--seed", "-1"], "--seed must be >= 0, got -1"),
+    "seed-negative-greedy-rs": (["group", "--input", H2, "--mode", "fc", "--method", "greedy-rs", "--seed", "-1"], "--seed must be >= 0, got -1"),
+    "seed-negative-gflownet": (["group", "--input", H2, "--mode", "fc", "--method", "gflownet", "--seed", "-1"], "--seed must be >= 0, got -1"),
+    "compare-seed-negative": (["compare", "--input", H2, "--mode", "fc", "--methods", "greedy-rs,gflownet", "--seed", "-1"], "--seed must be >= 0, got -1"),
+    "mask-extra-negative": (["group", "--input", H2, "--mode", "fc", "--method", "gflownet", "--mask-extra", "-1"], "--mask-extra must be >= 0, got -1"),
     # samplers larger than any address space: a 50.9 PiB input layer, one whose
     # byte count numpy cannot represent, and 1019 TiB of uniforms per batch
     "mask-extra-too-large": (["group", "--input", H2, "--mode", "fc", "--method", "gflownet", "--mask-extra", "1000000000000"], "--mask-extra 1000000000000,"),
@@ -163,7 +165,15 @@ BAD_INPUTS = {
     "histogram-mismatched-cap": (["histogram", "--checkpoint", "MISMATCHED_CAP", "--samples", "5"], "color_cap"),
     "histogram-unchained-layers": (["histogram", "--checkpoint", "UNCHAINED_W1", "--samples", "5"], "do not form a network"),
     "histogram-1d-weight": (["histogram", "--checkpoint", "VECTOR_W0", "--samples", "5"], "do not form a network"),
-    "histogram-seed-before-load": (["histogram", "--checkpoint", H2, "--samples", "5", "--seed", "-1"], "--seed"),
+    # metadata of the wrong type, and a best grouping whose terms do not all commute
+    "histogram-iterations-list": (["histogram", "--checkpoint", "ITERATIONS_LIST", "--samples", "5"], "is not a checkpoint: its iterations [1]"),
+    "histogram-seed-null": (["histogram", "--checkpoint", "SEED_NULL", "--samples", "5"], "is not a checkpoint: its seed None"),
+    "histogram-hidden-sizes-int": (["histogram", "--checkpoint", "HIDDEN_SIZES_INT", "--samples", "5"], "is not a checkpoint: its hidden_sizes 5"),
+    "histogram-hidden-sizes-other": (["histogram", "--checkpoint", "HIDDEN_SIZES_OTHER", "--samples", "5"], "is not a checkpoint: its hidden_sizes [5] are not its network's [4]"),
+    "histogram-hamiltonian-int": (["histogram", "--checkpoint", "HAMILTONIAN_INT", "--samples", "5"], "is not a checkpoint: its hamiltonian 5"),
+    "histogram-metadata-number": (["histogram", "--checkpoint", "METADATA_NUMBER", "--samples", "5"], "is not a checkpoint: its metadata 5"),
+    "histogram-one-group-best": (["histogram", "--checkpoint", "ONE_GROUP_BEST", "--samples", "5"], "is not a checkpoint: its best_assignment"),
+    "histogram-seed-before-load": (["histogram", "--checkpoint", H2, "--samples", "5", "--seed", "-1"], "--seed must be >= 0, got -1"),
     # a count whose arrays numpy refuses at once (about 1000 TiB of uniforms)
     "histogram-samples-too-many": (["histogram", "--checkpoint", "H2_CHECKPOINT", "--samples", "10000000000000"], "--samples"),
     # uniforms whose byte count numpy cannot even represent
@@ -229,12 +239,29 @@ def raise_color_cap(arrays):
     arrays["metadata"] = np.array(json.dumps(metadata))
 
 
+def set_metadata(**entries):
+    """The change that sets these metadata entries."""
+    def change(arrays):
+        metadata = json.loads(str(arrays["metadata"]))
+        metadata.update(entries)
+        arrays["metadata"] = np.array(json.dumps(metadata))
+    return change
+
+
 # the small H2 FC checkpoint below, with one change to its arrays each
 BROKEN_CHECKPOINTS = {
     "MISMATCHED_CAP": raise_color_cap,
     # a second layer that takes one input more than the first gives
     "UNCHAINED_W1": lambda a: a.update(w1=np.zeros((a["w0"].shape[1] + 1, a["w1"].shape[1]))),
     "VECTOR_W0": lambda a: a.update(w0=a["w0"][:, 0]),
+    "METADATA_NUMBER": lambda a: a.update(metadata=np.array("5")),
+    "ITERATIONS_LIST": set_metadata(iterations=[1]),
+    "SEED_NULL": set_metadata(seed=None),
+    "HIDDEN_SIZES_INT": set_metadata(hidden_sizes=5),
+    "HIDDEN_SIZES_OTHER": set_metadata(hidden_sizes=[5]),
+    "HAMILTONIAN_INT": set_metadata(hamiltonian=5),
+    # all 14 H2 terms in one group, whose m_est lies below the FC optimum
+    "ONE_GROUP_BEST": set_metadata(best_assignment=[1] * 14),
 }
 
 
@@ -428,6 +455,16 @@ class TestExportGraph:
             "--coloring", str(coloring), "--out", str(tmp_path / "g.dot"),
         )
         assert code == 4
+
+    def test_wrong_length_coloring_exit_4(self, capsys, tmp_path):
+        coloring = tmp_path / "c.json"
+        coloring.write_text("[1, 2, 3]")
+        code, out, err = run(
+            capsys, "export-graph", "--input", H2, "--mode", "fc",
+            "--coloring", str(coloring), "--out", str(tmp_path / "g.dot"),
+        )
+        assert code == 4 and out == ""
+        assert err == "invalid coloring: coloring covers 3 vertices, graph has 14\n"
 
     @pytest.mark.parametrize("first", [10**29, 2**63])
     def test_color_beyond_int64_exit_4(self, capsys, tmp_path, first):

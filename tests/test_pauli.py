@@ -130,8 +130,7 @@ class TestQubitHamiltonian:
     def test_merging_and_identity_folding(self):
         h = QubitHamiltonian(
             2,
-            [(0.5, w("ZI")), (1.0, w("II")), (0.25, w("ZI")), (0.1, w("XI"))],
-            identity_offset=0.5,
+            [(0.5, w("II")), (0.5, w("ZI")), (1.0, w("II")), (0.25, w("ZI")), (0.1, w("XI"))],
         )
         assert h.n_terms == 2
         assert h.identity_offset == pytest.approx(1.5)
@@ -140,11 +139,6 @@ class TestQubitHamiltonian:
     def test_prune_cancelling_terms(self):
         h = QubitHamiltonian(2, [(0.3, w("XI")), (-0.3, w("XI"))])
         assert h.n_terms == 0
-
-    def test_one_norm(self):
-        assert QubitHamiltonian(1).one_norm() == 0.0
-        h = QubitHamiltonian(2, [(0.5, w("ZI")), (-0.3, w("XZ"))])
-        assert h.one_norm() == pytest.approx(0.8)
 
     def test_mismatched_qubit_count(self):
         with pytest.raises(DimensionError):
