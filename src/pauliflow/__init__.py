@@ -15,7 +15,6 @@ from .gflownet import (
 from .graphs import (
     CompatGraph,
     Coloring,
-    Grouping,
     build_complement_graph,
     coloring_to_dot,
     coloring_to_grouping,
@@ -42,7 +41,6 @@ __all__ = [
     "ColoringMDP",
     "CompatGraph",
     "DenseNet",
-    "Grouping",
     "MeasurementConfig",
     "PauliWord",
     "QubitHamiltonian",

@@ -403,10 +403,18 @@ class TrainConfig:
     accumulation_period: int = 10
 
     def __post_init__(self):
-        bounds = ("iterations", 1), ("trajectories_per_iteration", 1), ("seed", 0), ("mask_extra_colors", 0)
+        bounds = (("iterations", 1), ("trajectories_per_iteration", 1), ("seed", 0), ("mask_extra_colors", 0),
+                  ("accumulation_period", 1))
         for name, least in bounds:
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
+        if not 0 < self.learning_rate < float("inf"):
+            raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
+        sizes = self.hidden_sizes
+        if not isinstance(sizes, (tuple, list)) or not all(  # a bool is no size
+            isinstance(s, (int, np.integer)) and not isinstance(s, bool) and s >= 1 for s in sizes
+        ):
+            raise ValueError(f"hidden_sizes must be ints >= 1, got {sizes!r}")
         if self.mode not in ("fc", "qwc"):
             raise ValueError(f"mode must be 'fc' or 'qwc', got {self.mode!r}")
 

@@ -13,7 +13,7 @@ an integer key and read its color off a (vertex, color) blocked matrix.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -96,17 +96,6 @@ class Coloring:
 
     def is_complete(self) -> bool:
         return bool(np.all(self.assignment != UNCOLORED))
-
-
-@dataclass(frozen=True)
-class Grouping:
-    """Partition of term indices; one group per color."""
-
-    groups: tuple[tuple[int, ...], ...] = field(default_factory=tuple)
-
-    @property
-    def n_groups(self) -> int:
-        return len(self.groups)
 
 
 def build_complement_graph(h: QubitHamiltonian, mode: str) -> CompatGraph:
@@ -237,13 +226,14 @@ def _greedy_clique_size(g: CompatGraph) -> int:
     return size
 
 
-def coloring_to_grouping(g: CompatGraph, coloring: Coloring) -> Grouping:
-    """Groups of term indices by color; requires a complete, proper coloring."""
+def coloring_to_grouping(g: CompatGraph, coloring: Coloring) -> tuple[tuple[int, ...], ...]:
+    """The term indices of each group to measure, in ascending color order;
+    requires a complete, proper coloring."""
     if not validate_coloring(g, coloring):
         raise InvalidColoringError("coloring is not proper for this graph")
     a = coloring.assignment
     colors = sorted(set(a.tolist()))  # the colors used, however large
-    return Grouping(tuple(tuple(int(v) for v in np.flatnonzero(a == c)) for c in colors))
+    return tuple(tuple(int(v) for v in np.flatnonzero(a == c)) for c in colors)
 
 
 # distinct fill colors for DOT output, reused cyclically past 12 groups

@@ -13,7 +13,7 @@ trades group count against the measurement estimate:
 
 batch_metrics is the one implementation of both, for a batch of assignment
 rows (term j in group assignments[b, j]) at once: the sampler runs it on its
-rollouts, and estimate_measurements on the one row a Grouping gives.
+rollouts, and estimate_measurements on one coloring's row.
 
 MeasurementConfig holds epsilon and lambda0, both positive and finite, with
 epsilon**2 and epsilon**-2 finite too. Large coefficients or a small epsilon
@@ -27,14 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Grouping
+from .graphs import Coloring, IncompleteColoringError, InvalidColoringError
 from .pauli import QubitHamiltonian
 
 CHEMICAL_ACCURACY_HA = 1.6e-3
-
-
-class EmptyGroupingError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -89,21 +85,19 @@ def batch_metrics(
 
 
 def estimate_measurements(
-    h: QubitHamiltonian, grouping: Grouping, epsilon: float = CHEMICAL_ACCURACY_HA
+    h: QubitHamiltonian, coloring: Coloring, epsilon: float = CHEMICAL_ACCURACY_HA
 ) -> float:
-    """Estimated shots to reach accuracy epsilon with one circuit per group:
-    batch_metrics' m_est of the row that gives group k color k + 1."""
+    """Estimated shots to reach accuracy epsilon with one circuit per color:
+    batch_metrics' m_est of the row that ranks the colors 1..k, so a coloring
+    that skips colors has the m_est of its contiguous relabelling. Raises
+    InvalidColoringError for a coloring of the wrong length and
+    IncompleteColoringError for one with an uncolored term."""
     # raises ValueError on an unusable epsilon; the reward, unused here, takes
     # the smallest lambda0, so that it overflows only where m_est is 0
     cfg = MeasurementConfig(epsilon=epsilon, lambda0=math.ulp(0.0))
-    if grouping.n_groups == 0:
-        raise EmptyGroupingError("grouping has no groups")
-    row = np.zeros(h.n_terms, dtype=np.int64)
-    for color, group in enumerate(grouping.groups, start=1):
-        for j in group:
-            if not 0 <= j < h.n_terms:
-                raise IndexError(f"group references term {j}, Hamiltonian has {h.n_terms}")
-            if row[j]:
-                raise ValueError(f"term {j} is in two groups")
-            row[j] = color
-    return float(batch_metrics(h, row[None], cfg)[0][0])
+    if coloring.n_vertices != h.n_terms:
+        raise InvalidColoringError(f"coloring covers {coloring.n_vertices} terms, Hamiltonian has {h.n_terms}")
+    if not coloring.is_complete():
+        raise IncompleteColoringError("coloring has uncolored terms")
+    ranks = np.unique(coloring.assignment, return_inverse=True)[1] + 1
+    return float(batch_metrics(h, ranks[None], cfg)[0][0])

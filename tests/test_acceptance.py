@@ -15,8 +15,8 @@ import pytest
 from pauliflow.cli import main as cli_main
 from pauliflow.gflownet import TrainConfig, train
 from pauliflow.graphs import (
+    Coloring,
     CompatGraph,
-    Grouping,
     STRATEGIES,
     build_complement_graph,
     coloring_to_grouping,
@@ -97,9 +97,9 @@ H2_REFERENCE = {
 H2_REL_TOL = 1e-6
 
 
-def as_set_partition(grouping: Grouping) -> set[frozenset[int]]:
+def as_set_partition(groups) -> set[frozenset[int]]:
     """Groups as a set of sets, independent of group and member order."""
-    return {frozenset(group) for group in grouping.groups}
+    return {frozenset(group) for group in groups}
 
 
 def report(name: str, ok: bool, detail: str = "") -> None:
@@ -135,15 +135,14 @@ def test_criterion_2_h2_reference_values():
 
     checks.append(("n_p", h.n_terms, 14, h.n_terms == 14))
 
-    singletons = Grouping(tuple((i,) for i in range(h.n_terms)))
-    full = estimate_measurements(h, singletons, epsilon=H2_EPSILON)
+    full = estimate_measurements(h, Coloring(np.arange(1, h.n_terms + 1)), epsilon=H2_EPSILON)
     want = H2_REFERENCE["full_m_est"]
     checks.append(("full_m_est", full, want, close(full, want)))
 
     g_fc = build_complement_graph(h, "fc")
     lf = greedy_color(g_fc, "largest_first")
     lf_grouping = coloring_to_grouping(g_fc, lf)
-    lf_m = estimate_measurements(h, lf_grouping, epsilon=H2_EPSILON)
+    lf_m = estimate_measurements(h, lf, epsilon=H2_EPSILON)
     checks.append(
         ("greedy_lf_fc_colors", lf.max_color, 2, lf.max_color == H2_REFERENCE["greedy_lf_fc_colors"])
     )
@@ -156,7 +155,7 @@ def test_criterion_2_h2_reference_values():
     for strategy in STRATEGIES:
         c = greedy_color(g_qwc, strategy, seed=0)
         grouping = coloring_to_grouping(g_qwc, c)
-        m = estimate_measurements(h, grouping, epsilon=H2_EPSILON)
+        m = estimate_measurements(h, c, epsilon=H2_EPSILON)
         checks.append(
             (f"{strategy}_qwc_colors", c.max_color, 5, c.max_color == H2_REFERENCE["greedy_qwc_colors"])
         )
@@ -196,9 +195,9 @@ def test_criterion_3_gflownet_h2_fc(seed):
     assert elapsed < 300.0
 
 
-def random_proper_grouping(g, rng):
-    """Random valid coloring that, unlike greedy smallest-feasible colorings,
-    can leave two color classes fully compatible (mergeable)."""
+def random_proper_coloring(g, rng):
+    """Random valid coloring in colors 1..k that, unlike greedy smallest-feasible
+    colorings, can leave two color classes fully compatible (mergeable)."""
     n = g.n_vertices
     assignment = np.zeros(n, dtype=np.int64)
     for v in rng.permutation(n):
@@ -207,9 +206,7 @@ def random_proper_grouping(g, rng):
         assignment[v] = int(rng.choice(feasible))
     # compact color labels to 1..k
     labels = {c: i + 1 for i, c in enumerate(sorted(set(map(int, assignment))))}
-    from pauliflow.graphs import Coloring
-
-    return coloring_to_grouping(g, Coloring(np.array([labels[int(c)] for c in assignment])))
+    return Coloring(np.array([labels[int(c)] for c in assignment]))
 
 
 def test_criterion_4_merge_monotonicity():
@@ -229,21 +226,21 @@ def test_criterion_4_merge_monotonicity():
         h = QubitHamiltonian(3, [(float(rng.normal()), w) for w in words])
         mode = "fc" if attempts % 2 else "qwc"
         g = build_complement_graph(h, mode)
-        grouping = random_proper_grouping(g, rng)
+        coloring = random_proper_coloring(g, rng)
+        groups = coloring_to_grouping(g, coloring)
         pairs = [
             (a, b)
-            for a in range(grouping.n_groups)
-            for b in range(a + 1, grouping.n_groups)
-            if all(not g.adjacency[i, j] for i in grouping.groups[a] for j in grouping.groups[b])
+            for a in range(len(groups))
+            for b in range(a + 1, len(groups))
+            if all(not g.adjacency[i, j] for i in groups[a] for j in groups[b])
         ]
         if not pairs:
             continue
         a, b = pairs[int(rng.integers(len(pairs)))]
-        merged = tuple(grp for k, grp in enumerate(grouping.groups) if k not in (a, b)) + (
-            grouping.groups[a] + grouping.groups[b],
-        )
-        before = estimate_measurements(h, grouping, epsilon=1.6e-3)
-        after = estimate_measurements(h, Grouping(merged), epsilon=1.6e-3)
+        # group k has color k + 1; the merged coloring skips color b + 1
+        merged = np.where(coloring.assignment == b + 1, a + 1, coloring.assignment)
+        before = estimate_measurements(h, coloring, epsilon=1.6e-3)
+        after = estimate_measurements(h, Coloring(merged), epsilon=1.6e-3)
         assert after <= before * (1 + 1e-12), f"merge raised m_est: {after} > {before}"
         tested += 1
     report("C4 merge-monotonicity", True, f"{tested} merges across {attempts} sampled instances")
@@ -356,9 +353,7 @@ def test_optional_h4_stress_beats_greedy():
     h = load_hamiltonian(H4_PATH)
     g = build_complement_graph(h, "fc")
     greedy_best = min(
-        estimate_measurements(
-            h, coloring_to_grouping(g, greedy_color(g, s, seed=0)), epsilon=1.6e-3
-        )
+        estimate_measurements(h, greedy_color(g, s, seed=0), epsilon=1.6e-3)
         for s in STRATEGIES
     )
     config = TrainConfig(seed=0, hidden_sizes=(128, 128))  # 1000 iterations

@@ -1,4 +1,6 @@
+import collections
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,7 +11,7 @@ import pytest
 
 import pauliflow
 from pauliflow.cli import main
-from pauliflow.gflownet import TrainConfig, train
+from pauliflow.gflownet import TrainConfig, TrainedSampler, train
 from pauliflow.graphs import Coloring, build_complement_graph, validate_coloring
 from pauliflow.hamio import bundled_path, load_hamiltonian
 from pauliflow.nn import DenseNet, save_checkpoint
@@ -160,8 +162,9 @@ BAD_INPUTS = {
     "compare-exact-on-h4": (["compare", "--input", H4, "--mode", "fc", "--methods", "full,exact"], "exact-search limit"),
     "histogram-ham-as-checkpoint": (["histogram", "--checkpoint", H2, "--samples", "5"], "not a checkpoint"),
     "histogram-samples-before-load": (["histogram", "--checkpoint", H2, "--samples", "0"], "--samples"),
-    "histogram-foreign-npz": (["histogram", "--checkpoint", "FOREIGN_NPZ", "--samples", "5"], "not a pauliflow checkpoint"),
-    "histogram-no-metadata": (["histogram", "--checkpoint", "BARE_CHECKPOINT", "--samples", "5"], "not a pauliflow checkpoint"),
+    # the loader's own "not a pauliflow checkpoint" is the message's one such phrase
+    "histogram-foreign-npz": (["histogram", "--checkpoint", "FOREIGN_NPZ", "--samples", "5"], "x.npz is not a pauliflow checkpoint: version"),
+    "histogram-no-metadata": (["histogram", "--checkpoint", "BARE_CHECKPOINT", "--samples", "5"], "c.npz is not a pauliflow checkpoint: no 'hamiltonian' in its metadata"),
     "histogram-mismatched-cap": (["histogram", "--checkpoint", "MISMATCHED_CAP", "--samples", "5"], "color_cap"),
     "histogram-unchained-layers": (["histogram", "--checkpoint", "UNCHAINED_W1", "--samples", "5"], "do not form a network"),
     "histogram-1d-weight": (["histogram", "--checkpoint", "VECTOR_W0", "--samples", "5"], "do not form a network"),
@@ -173,6 +176,10 @@ BAD_INPUTS = {
     "histogram-hamiltonian-int": (["histogram", "--checkpoint", "HAMILTONIAN_INT", "--samples", "5"], "is not a checkpoint: its hamiltonian 5"),
     "histogram-metadata-number": (["histogram", "--checkpoint", "METADATA_NUMBER", "--samples", "5"], "is not a checkpoint: its metadata 5"),
     "histogram-one-group-best": (["histogram", "--checkpoint", "ONE_GROUP_BEST", "--samples", "5"], "is not a checkpoint: its best_assignment"),
+    # metadata that no training run could have used
+    "histogram-learning-rate-negative": (["histogram", "--checkpoint", "NEGATIVE_LEARNING_RATE", "--samples", "5"], "is not a checkpoint: learning_rate must be positive and finite, got -0.001"),
+    "histogram-accumulation-period-0": (["histogram", "--checkpoint", "ZERO_ACCUMULATION_PERIOD", "--samples", "5"], "is not a checkpoint: accumulation_period must be >= 1, got 0"),
+    "histogram-hidden-size-0": (["histogram", "--checkpoint", "ZERO_WIDTH_LAYER", "--samples", "5"], "is not a checkpoint: hidden_sizes must be ints >= 1, got (0,)"),
     "histogram-seed-before-load": (["histogram", "--checkpoint", H2, "--samples", "5", "--seed", "-1"], "--seed must be >= 0, got -1"),
     # a count whose arrays numpy refuses at once (about 1000 TiB of uniforms)
     "histogram-samples-too-many": (["histogram", "--checkpoint", "H2_CHECKPOINT", "--samples", "10000000000000"], "--samples"),
@@ -248,6 +255,12 @@ def set_metadata(**entries):
     return change
 
 
+def zero_width_layer(arrays):
+    """A hidden layer of no units, as its metadata says too."""
+    arrays.update(w0=arrays["w0"][:, :0], b0=arrays["b0"][:0], w1=arrays["w1"][:0])
+    set_metadata(hidden_sizes=[0])(arrays)
+
+
 # the small H2 FC checkpoint below, with one change to its arrays each
 BROKEN_CHECKPOINTS = {
     "MISMATCHED_CAP": raise_color_cap,
@@ -262,6 +275,9 @@ BROKEN_CHECKPOINTS = {
     "HAMILTONIAN_INT": set_metadata(hamiltonian=5),
     # all 14 H2 terms in one group, whose m_est lies below the FC optimum
     "ONE_GROUP_BEST": set_metadata(best_assignment=[1] * 14),
+    "NEGATIVE_LEARNING_RATE": set_metadata(learning_rate=-1e-3),
+    "ZERO_ACCUMULATION_PERIOD": set_metadata(accumulation_period=0),
+    "ZERO_WIDTH_LAYER": zero_width_layer,
 }
 
 
@@ -304,6 +320,7 @@ def test_bad_input_exits_2_with_error_line(capsys, tmp_path, case):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and message in err
+    assert err.count("checkpoint:") <= 1
 
 
 def run_module(*argv):
@@ -413,6 +430,23 @@ class TestHistogram:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "max_color,m_est,count"
         assert sum(int(line.split(",")[2]) for line in lines[1:]) == 500
+
+    def test_rows_match_counted_samples(self, capsys, tmp_path):
+        """Each (max_color, bin) row counts the samples of that color and bin,
+        rows sorted by color, then bin, against a loop over the samples."""
+        ckpt = self.make_checkpoint(capsys, tmp_path)
+        out = tmp_path / "hist.csv"
+        code, _, err = run(
+            capsys, "histogram", "--checkpoint", str(ckpt), "--samples", "300",
+            "--out", str(out), "--seed", "4", "--bin-width", "2000",
+        )
+        assert code == 0, err
+        samples = TrainedSampler.load(ckpt).sample(300, rng=4)
+        lo = min(m for _, m, _ in samples)
+        counted = collections.Counter((c.max_color, math.floor((m - lo) / 2000)) for c, m, _ in samples)
+        want = [f"{c},{lo + b * 2000.0!r},{n}" for (c, b), n in sorted(counted.items())]
+        assert len(want) > 1
+        assert out.read_text().splitlines() == ["max_color,m_est,count", *want]
 
     def test_single_sample_single_bin(self, capsys, tmp_path):
         ckpt = self.make_checkpoint(capsys, tmp_path)

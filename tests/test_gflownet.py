@@ -40,7 +40,6 @@ from pauliflow.gflownet import (
 from pauliflow.graphs import (
     Coloring,
     CompatGraph,
-    Grouping,
     build_complement_graph,
     coloring_to_grouping,
     greedy_color,
@@ -646,8 +645,8 @@ class TestFlowMatchingLoss:
         g = build_complement_graph(h, "fc")
         mdp = ColoringMDP(g, 2)
         cfg = MeasurementConfig(epsilon=1.0, lambda0=1.0)
-        m_a = estimate_measurements(h, Grouping(((0, 1),)), epsilon=1.0)
-        m_b = estimate_measurements(h, Grouping(((0,), (1,))), epsilon=1.0)
+        m_a = estimate_measurements(h, Coloring([1, 1]), epsilon=1.0)
+        m_b = estimate_measurements(h, Coloring([1, 2]), epsilon=1.0)
         r_a = (2 - 1) + 1.0 / m_a
         r_b = (2 - 2) + 1.0 / m_b
 
@@ -781,7 +780,7 @@ class TestTerminalMetrics:
         m_est, rew, colors = batch_metrics(h, assignments, cfg)
         for b, assignment in enumerate(assignments):
             coloring = Coloring(assignment)
-            groups = coloring_to_grouping(g, coloring).groups
+            groups = coloring_to_grouping(g, coloring)
             want = estimate_measurements_oracle(h.coefficients(), groups, cfg.epsilon)
             assert m_est[b] == pytest.approx(want, rel=1e-12, abs=0)
             assert rew[b] == pytest.approx((h.n_terms - coloring.max_color) + cfg.lambda0 / want, rel=1e-12, abs=0)
@@ -825,7 +824,7 @@ class TestTerminalMetrics:
 
 
 class TestEstimateMatchesSampler:
-    """A report's m_est, from estimate_measurements on a Grouping, is the
+    """A report's m_est, from estimate_measurements on a Coloring, is the
     sampler's m_est of the same row bit for bit, also on rows of more than 8
     colors, where a loop over the groups and numpy's pairwise sum of their
     roots would round differently."""
@@ -840,7 +839,7 @@ class TestEstimateMatchesSampler:
         samples = sampler.sample(8, rng=3)
         assert min(c.max_color for c, _, _ in samples) > 8
         for coloring, m in [*zip(greedy, m_greedy.tolist()), *((c, m) for c, m, _ in samples)]:
-            assert estimate_measurements(h, coloring_to_grouping(g, coloring), cfg.epsilon) == m
+            assert estimate_measurements(h, coloring, cfg.epsilon) == m
 
 
 class TestTraining:
@@ -962,3 +961,25 @@ class TestTraining:
         assert loaded.config == sampler.config
         for (ca, ma, _), (cb, mb, _) in zip(sampler.sample(10, rng=3), loaded.sample(10, rng=3), strict=True):
             assert np.array_equal(ca.assignment, cb.assignment) and ma == mb
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("field,value", [
+        ("iterations", 0), ("trajectories_per_iteration", 0), ("seed", -1), ("mask_extra_colors", -1),
+        ("accumulation_period", 0), ("accumulation_period", -3),
+        ("learning_rate", 0.0), ("learning_rate", -3e-4), ("learning_rate", float("nan")),
+        ("learning_rate", float("inf")),
+        ("hidden_sizes", (0,)), ("hidden_sizes", (8, -1)), ("hidden_sizes", (8.0,)),
+        ("hidden_sizes", (True,)), ("hidden_sizes", 8),
+        ("mode", "xyz"),
+    ])
+    def test_out_of_range_field_rejected(self, field, value):
+        """The message names the field and ends with the value."""
+        with pytest.raises(ValueError, match=f"^{field} must be ") as err:
+            TrainConfig(**{field: value})
+        assert str(err.value).endswith(f", got {value!r}")
+
+    def test_edge_values_accepted(self):
+        config = TrainConfig(accumulation_period=1, learning_rate=5e-324, hidden_sizes=(1, np.int64(2)))
+        assert config.hidden_sizes == (1, 2)
+        assert TrainConfig(hidden_sizes=()).hidden_sizes == ()

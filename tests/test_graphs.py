@@ -233,12 +233,12 @@ class TestGrouping:
     def test_singletons(self):
         g = graph_from_edges(3, [(0, 1), (1, 2), (0, 2)])
         grouping = coloring_to_grouping(g, Coloring(np.array([1, 2, 3])))
-        assert grouping.groups == ((0,), (1,), (2,))
+        assert grouping == ((0,), (1,), (2,))
 
     def test_one_group(self):
         g = graph_from_edges(3, [])
         grouping = coloring_to_grouping(g, Coloring(np.array([1, 1, 1])))
-        assert grouping.groups == ((0, 1, 2),)
+        assert grouping == ((0, 1, 2),)
 
     def test_improper_rejected(self):
         g = graph_from_edges(2, [(0, 1)])
@@ -264,9 +264,9 @@ class TestGrouping:
         pred = commutes_fc if mode == "fc" else commutes_qwc
         g = build_complement_graph(h, mode)
         grouping = coloring_to_grouping(g, greedy_color(g, "dsatur"))
-        all_indices = sorted(i for grp in grouping.groups for i in grp)
+        all_indices = sorted(i for grp in grouping for i in grp)
         assert all_indices == list(range(h.n_terms))
-        for grp in grouping.groups:
+        for grp in grouping:
             for i in grp:
                 for j in grp:
                     assert pred(h.words()[i], h.words()[j])
@@ -278,8 +278,8 @@ class TestGrouping:
         perm = np.concatenate([[0], np.roll(np.arange(1, k + 1), 1)])
         permuted = Coloring(perm[c.assignment])
         assert validate_coloring(g, permuted)
-        original = {frozenset(grp) for grp in coloring_to_grouping(g, c).groups}
-        rotated = {frozenset(grp) for grp in coloring_to_grouping(g, permuted).groups}
+        original = {frozenset(grp) for grp in coloring_to_grouping(g, c)}
+        rotated = {frozenset(grp) for grp in coloring_to_grouping(g, permuted)}
         assert original == rotated
 
 
