@@ -29,14 +29,17 @@ Actions are colors 1..color_cap. The action mask enforces, in order:
 A mask is never empty, so no trajectory dead-ends. When these rules leave a
 vertex no color, the mask allows one forced action instead: the first color
 none of its colored neighbors holds. If that color is above the cap, the
-forced action is the top slot (color_cap) and the vertex takes the first
-color above the cap that its neighbors leave free; the network sees it as
-color color_cap. A forced color is proper and canonical, and each state
-still has one parent, so the state space stays a tree. The cap is therefore
-a soft limit: rows exceed it only where every lower color is held by a
-neighbor. Each training iteration runs the network forward once: the
-training rollout records every state's log-flows and hidden activations,
-and the flow-matching loss reuses them and runs only the backward pass.
+forced action is the top slot (color_cap) and the vertex takes that color;
+the network sees it as color color_cap. The rollout keeps one matrix of the
+colors each vertex's neighbors hold, wide enough for every color a row can
+take, so the first color it leaves free is the forced color, above the cap
+or not, and no mark is ever undone. A forced color is proper and canonical,
+and each state still has one parent, so the state space stays a tree. The
+cap is therefore a soft limit: rows exceed it only where every lower color
+is held by a neighbor. Each training iteration runs the network forward
+once: the training rollout records every state's log-flows and hidden
+activations, and the flow-matching loss reuses them and runs only the
+backward pass.
 """
 from __future__ import annotations
 
@@ -71,7 +74,9 @@ ROLLOUT_BLOCK_ROWS = 256
 class ColoringMDP:
     """Fixed-order coloring MDP over a conflict graph with a soft color cap:
     color_cap sets the network's action and encoding width, and a vertex
-    goes above it only when every color up to it is held by a neighbor."""
+    goes above it only when every color up to it is held by a neighbor.
+    color_bound is the most colors a row can take: a vertex takes at most
+    the first color its earlier neighbors leave free, one past their count."""
 
     def __init__(self, graph: CompatGraph, color_cap: int):
         if color_cap < 1:
@@ -93,6 +98,7 @@ class ColoringMDP:
             pos = self.order_position[nbrs]
             self.earlier_neighbors.append(nbrs[pos < k])
             self.later_neighbors.append(nbrs[pos > k])
+        self.color_bound = max([color_cap, *(1 + len(e) for e in self.earlier_neighbors)])
 
     @property
     def n_vertices(self) -> int:
@@ -221,14 +227,16 @@ class _BatchRollout:
     builds a (cap, h1) table of the per-color changes and adds the taken
     color's row to every row.
 
-    blocked (n, rows, cap) marks the colors up to the cap that each vertex's
-    colored neighbors hold, vertex-major so that one neighbor's rows are
-    contiguous, and blocked_counts (n, rows) counts them. The counts serve
-    the one-step feasibility check: it reads a full blocked row only where a
-    later neighbor has one color left. Besides the network's forward pass, a
-    step costs a few (n_later, rows) gathers and one (rows, h1) add.
-    assignments (B, n) holds the colors taken, forced colors above the cap
-    included.
+    blocked (n, rows, color_bound) marks every color that each vertex's
+    colored neighbors hold, forced colors above the cap included,
+    vertex-major so that one neighbor's rows are contiguous. Its first
+    unmarked column is a vertex's first free color, so a forced top slot
+    takes that color and marks it like any other. The mask reads the first
+    cap columns, and blocked_counts (n, rows) counts the marks in them. The
+    counts serve the one-step feasibility check: it reads a blocked row only
+    where a later neighbor has one color up to the cap left. Besides the
+    network's forward pass, a step costs a few (n_later, rows) gathers and
+    one (rows, h1) add. assignments (B, n) holds the colors taken.
 
     With record=True, the action slots (B, n), the masks (B, n, cap) and each
     step's log-flows and hidden activations are kept for the loss, their only
@@ -252,7 +260,7 @@ class _BatchRollout:
         """Roll rows lo..hi-1 next, from the initial state."""
         n, cap = self.mdp.n_vertices, self.mdp.color_cap
         self.rows = slice(lo, hi)
-        self.blocked = np.zeros((n, hi - lo, cap), dtype=bool)
+        self.blocked = np.zeros((n, hi - lo, self.mdp.color_bound), dtype=bool)
         self.blocked_counts = np.zeros((n, hi - lo), dtype=np.min_scalar_type(cap))
         self.max_colors = np.zeros(hi - lo, dtype=np.int64)
         self.l1_pre = np.tile(_l1_start(self.net, self.mdp), (hi - lo, 1))
@@ -263,16 +271,14 @@ class _BatchRollout:
         v = int(mdp.vertex_order[k])
         limit = np.minimum(self.max_colors + 1, cap)  # (rows,)
         mask = np.arange(cap)[None, :] < limit[:, None]
-        mask &= ~self.blocked[v]
+        mask &= ~self.blocked[v, :, :cap]
         # drop the one color still free for a later neighbor
         later = mdp.later_neighbors[k]
         nbrs, rows = np.nonzero(self.blocked_counts[later] == cap - 1)
-        mask[rows, np.argmin(self.blocked[later[nbrs], rows], axis=1)] = False
+        mask[rows, np.argmin(self.blocked[later[nbrs], rows, :cap], axis=1)] = False
         # a row left without a color takes its first free one, or the top slot
         forced = np.flatnonzero(~mask.any(axis=1))
-        if forced.size:
-            free = ~self.blocked[v, forced]
-            mask[forced, np.where(free.any(axis=1), free.argmax(axis=1), cap - 1)] = True
+        mask[forced, np.minimum(np.argmin(self.blocked[v, forced], axis=1), cap - 1)] = True
         return mask
 
     def logits(self, k: int) -> np.ndarray:
@@ -294,23 +300,15 @@ class _BatchRollout:
             self.actions[self.rows, k] = actions
             self.masks[self.rows, k] = mask
         colors = actions + 1
-        # only a forced top slot takes a color that a neighbor holds
+        # a forced top slot whose color a neighbor holds takes the first free one
         over = np.flatnonzero(self.blocked[v, rows, actions])
+        colors[over] = np.argmin(self.blocked[v, over], axis=1) + 1
         assignments[:, v] = colors
         np.maximum(self.max_colors, colors, out=self.max_colors)
         later = mdp.later_neighbors[k]
-        marked = ~self.blocked[later[:, None], rows, actions]
-        self.blocked_counts[later] += marked
-        self.blocked[later[:, None], rows, actions] = True
-        if over.size:
-            # those rows take the first color above the cap that no earlier
-            # neighbor holds; it blocks nothing up to the cap, so undo its marks
-            held = assignments[over[:, None], mdp.earlier_neighbors[k]]
-            above = cap + 1 + np.arange(held.shape[1] + 1)
-            taken = (held[:, :, None] == above).any(axis=1)
-            assignments[over, v] = above[np.argmin(taken, axis=1)]
-            self.blocked_counts[later[:, None], over] -= marked[:, over]
-            self.blocked[later[:, None], over, cap - 1] = ~marked[:, over]
+        marked = ~self.blocked[later[:, None], rows, colors - 1]
+        self.blocked_counts[later] += marked & (colors <= cap)
+        self.blocked[later[:, None], rows, colors - 1] = True
         if k + 1 < mdp.n_vertices:
             self.l1_pre += _l1_step(self.net, mdp, k, np.arange(1, cap + 1))[actions]
 
@@ -403,18 +401,28 @@ class TrainConfig:
     accumulation_period: int = 10
 
     def __post_init__(self):
+        # as a checkpoint's JSON gives them, so that a loaded config equals the saved one
+        if isinstance(self.hidden_sizes, list):
+            self.hidden_sizes = tuple(self.hidden_sizes)
+        if isinstance(self.learning_rate, (int, np.integer)):
+            self.learning_rate = float(self.learning_rate)
         bounds = (("iterations", 1), ("trajectories_per_iteration", 1), ("seed", 0), ("mask_extra_colors", 0),
                   ("accumulation_period", 1))
         for name, least in bounds:
-            if getattr(self, name) < least:
-                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):  # a bool is no count
+                raise ValueError(f"{name} must be an int, got {value!r}")
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}, got {value}")
+            setattr(self, name, int(value))  # save() writes JSON, which has no numpy ints
         if not 0 < self.learning_rate < float("inf"):
             raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
         sizes = self.hidden_sizes
-        if not isinstance(sizes, (tuple, list)) or not all(  # a bool is no size
+        if not isinstance(sizes, tuple) or not all(  # a bool is no size
             isinstance(s, (int, np.integer)) and not isinstance(s, bool) and s >= 1 for s in sizes
         ):
             raise ValueError(f"hidden_sizes must be ints >= 1, got {sizes!r}")
+        self.hidden_sizes = tuple(map(int, sizes))
         if self.mode not in ("fc", "qwc"):
             raise ValueError(f"mode must be 'fc' or 'qwc', got {self.mode!r}")
 
@@ -437,7 +445,9 @@ class DiscoveredGrouping:
     first_iteration: int
 
 
-# the type of each metadata entry that TrainedSampler.save writes and load reads
+# the type of each metadata entry that TrainedSampler.save writes, in its
+# order, and load reads: the TrainConfig fields, the measurement settings,
+# the Hamiltonian's text and the color cap
 _METADATA_TYPES = {
     "hamiltonian": str, "mode": str, "color_cap": int, "epsilon": float, "lambda0": float,
     "seed": int, "iterations": int, "trajectories_per_iteration": int, "mask_extra_colors": int,
@@ -475,11 +485,11 @@ class TrainedSampler:
     def best_reward(self) -> float:
         return self._best_reward
 
-    def _record(self, rollout: _BatchRollout, iteration: int) -> np.ndarray:
-        m_est, rewards, colors = batch_metrics(
-            self.hamiltonian, rollout.assignments, self.config.measurement
-        )
-        rows = zip(rollout.assignments, m_est.tolist(), rewards.tolist(), colors.tolist())
+    def _record(self, assignments: np.ndarray, iteration: int) -> np.ndarray:
+        """Add the rows (B, n) not yet discovered, first found at `iteration`,
+        update best and best_reward, and return the rows' rewards."""
+        m_est, rewards, colors = batch_metrics(self.hamiltonian, assignments, self.config.measurement)
+        rows = zip(assignments, m_est.tolist(), rewards.tolist(), colors.tolist())
         for row, m, rew, c in rows:
             key = row.tobytes()
             if key not in self.discovered:
@@ -508,22 +518,12 @@ class TrainedSampler:
     def save(self, path) -> None:
         """Checkpoint the network and the metadata load() needs; any sampler,
         one returned by load() included, can be saved."""
-        best = self.best if self.discovered else None
-        metadata = {
-            "hamiltonian": dump_hamiltonian(self.hamiltonian),
-            "mode": self.config.mode,
-            "color_cap": self.mdp.color_cap,
-            "epsilon": self.config.measurement.epsilon,
-            "lambda0": self.config.measurement.lambda0,
-            "seed": self.config.seed,
-            "iterations": self.config.iterations,
-            "trajectories_per_iteration": self.config.trajectories_per_iteration,
-            "mask_extra_colors": self.config.mask_extra_colors,
-            "learning_rate": self.config.learning_rate,
-            "hidden_sizes": list(self.config.hidden_sizes),
-            "accumulation_period": self.config.accumulation_period,
-            "best_assignment": None if best is None else best.assignment.tolist(),
+        values = {
+            **vars(self.config), **vars(self.config.measurement),
+            "hamiltonian": dump_hamiltonian(self.hamiltonian), "color_cap": self.mdp.color_cap,
         }
+        metadata = {key: values[key] for key in _METADATA_TYPES}
+        metadata["best_assignment"] = self.best.assignment.tolist() if self.discovered else None
         save_checkpoint(path, self.net, metadata)
 
     @classmethod
@@ -545,15 +545,8 @@ class TrainedSampler:
         h = loads_hamiltonian(metadata["hamiltonian"])
         color_cap = metadata["color_cap"]
         config = TrainConfig(
-            iterations=metadata["iterations"],
-            trajectories_per_iteration=metadata["trajectories_per_iteration"],
-            seed=metadata["seed"],
-            mask_extra_colors=metadata["mask_extra_colors"],
+            **{key: metadata[key] for key in _METADATA_TYPES if key in TrainConfig.__dataclass_fields__},
             measurement=MeasurementConfig(epsilon=float(metadata["epsilon"]), lambda0=float(metadata["lambda0"])),
-            mode=metadata["mode"],
-            learning_rate=float(metadata["learning_rate"]),
-            hidden_sizes=tuple(hidden_sizes),
-            accumulation_period=metadata["accumulation_period"],
         )
         mdp = ColoringMDP(build_complement_graph(h, config.mode), color_cap)
         if net.layer_sizes[0] != mdp.encoding_dim or net.layer_sizes[-1] != color_cap:
@@ -568,12 +561,7 @@ class TrainedSampler:
             in_range = isinstance(best, list) and all(type(c) is int and 0 < c <= n for c in best)
             if not (in_range and len(best) == n and validate_coloring(mdp.graph, Coloring(np.array(best)))):
                 raise ValueError(f"its best_assignment is not a proper coloring of its {n} terms by colors 1..{n}")
-            row = np.array(best, dtype=np.int64)
-            m_est, rew, colors = batch_metrics(h, row[None], config.measurement)
-            found = DiscoveredGrouping(row, int(colors[0]), float(m_est[0]), float(rew[0]), -1)
-            sampler.discovered[row.tobytes()] = found
-            sampler._best = found
-            sampler._best_reward = found.reward
+            sampler._record(np.array(best, dtype=np.int64)[None], -1)
         return sampler
 
 
@@ -605,7 +593,7 @@ def train(h: QubitHamiltonian, config: TrainConfig | None = None) -> TrainedSamp
     for iteration in range(config.iterations):
         try:
             rollout, _ = _sample_batch(net, mdp, batch, rng, record=record)
-            rewards = sampler._record(rollout, iteration)
+            rewards = sampler._record(rollout.assignments, iteration)
             mean_loss, grads, rows0 = flow_matching_loss(
                 net, mdp, rollout.actions, rollout.masks, rewards, rollout.log_flows, rollout.hidden
             )

@@ -77,6 +77,8 @@ def loads_hamiltonian(text: str) -> QubitHamiltonian:
             terms.append((coeff, PauliWord.from_text(fields[1], n_qubits)))
         except (PauliFormatError, DimensionError) as err:
             raise HamiltonianParseError(line_no, str(err)) from None
+        except (MemoryError, ValueError) as err:  # numpy cannot hold a word of n_qubits
+            raise HamiltonianParseError(line_no, f"cannot hold a word of {n_qubits} qubits: {err}") from None
     if n_qubits is None:
         raise HamiltonianParseError(1, "missing 'qubits: <n>' header")
     return QubitHamiltonian(n_qubits, terms)

@@ -219,6 +219,10 @@ BAD_INPUTS = {
     "inf-term": (["group", "--input", "INF_TERM.ham", "--mode", "fc", "--method", "full"], "line 3: non-finite"),
     "1e999-term": (["group", "--input", "OVERFLOW_TERM.ham", "--mode", "fc", "--method", "full"], "line 2: non-finite"),
     "nan-identity": (["group", "--input", "NAN_IDENTITY.ham", "--mode", "fc", "--method", "full"], "line 2: non-finite"),
+    # a qubit count whose words numpy cannot allocate, or whose shape it cannot even express
+    "qubits-1e14": (["group", "--input", "HUGE_QUBITS.ham", "--mode", "fc", "--method", "greedy-lf"], "line 2: cannot hold a word of 100000000000000 qubits"),
+    "qubits-1e23": (["group", "--input", "HUGER_QUBITS.ham", "--mode", "fc", "--method", "greedy-lf"], "line 2: cannot hold a word of 100000000000000000000000 qubits"),
+    "histogram-qubits-1e14": (["histogram", "--checkpoint", "HUGE_QUBITS_TEXT", "--samples", "5"], "is not a checkpoint: line 2: cannot hold a word of 100000000000000 qubits"),
     "non-utf8-input": (["group", "--input", "NON_UTF8.ham", "--mode", "fc", "--method", "full"], "line 3: not UTF-8"),
     "non-utf8-coloring": (["export-graph", "--input", H2, "--mode", "fc", "--coloring", "NON_UTF8.json", "--out", "TMPDIR/g.dot"], "not UTF-8"),
     # JSON true/false are not colors, though Python reads them as 1 and 0
@@ -232,6 +236,8 @@ BAD_FILES = {
     "INF_TERM.ham": b"qubits: 2\n0.3 X1\ninf Z0\n",
     "OVERFLOW_TERM.ham": b"qubits: 2\n1e999 Z0\n",
     "NAN_IDENTITY.ham": b"qubits: 2\nnan I\n0.3 X1\n",
+    "HUGE_QUBITS.ham": b"qubits: 100000000000000\n0.5 Z0\n0.3 X1\n",
+    "HUGER_QUBITS.ham": b"qubits: 100000000000000000000000\n0.5 Z0\n",
     "NON_UTF8.ham": b"qubits: 2\n0.5 Z0\n0.3 X\xff1\n",
     "NON_UTF8.json": b"[1, \xff]",
     "BOOL.json": b"[true, true, true, true, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2]",
@@ -278,6 +284,7 @@ BROKEN_CHECKPOINTS = {
     "NEGATIVE_LEARNING_RATE": set_metadata(learning_rate=-1e-3),
     "ZERO_ACCUMULATION_PERIOD": set_metadata(accumulation_period=0),
     "ZERO_WIDTH_LAYER": zero_width_layer,
+    "HUGE_QUBITS_TEXT": set_metadata(hamiltonian="qubits: 100000000000000\n0.5 Z0\n"),
 }
 
 

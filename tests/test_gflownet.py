@@ -1,3 +1,4 @@
+import json
 import sys
 import threading
 import tracemalloc
@@ -45,9 +46,9 @@ from pauliflow.graphs import (
     greedy_color,
     validate_coloring,
 )
-from pauliflow.hamio import bundled_path, load_hamiltonian, loads_hamiltonian
+from pauliflow.hamio import bundled_path, dump_hamiltonian, load_hamiltonian, loads_hamiltonian
 from pauliflow.measurement import MeasurementConfig, batch_metrics, estimate_measurements
-from pauliflow.nn import ADAM_BLOCK_BYTES, DenseNet
+from pauliflow.nn import ADAM_BLOCK_BYTES, DenseNet, save_checkpoint
 from pauliflow.pauli import PauliWord, QubitHamiltonian
 
 
@@ -346,6 +347,24 @@ class TestSampling:
                     over += 1
                 checked += rows.shape[0]
         assert checked > 15000 and over > 0
+
+    @pytest.mark.parametrize("name, mode, width", [
+        ("h2_sto3g_1A_jw.ham", "fc", 5), ("h2_sto3g_1A_jw.ham", "qwc", 5),
+        ("h4_chain_sto3g_1A_jw.ham", "fc", 73), ("h4_chain_sto3g_1A_jw.ham", "qwc", 133),
+        ("synthetic_10term.ham", "fc", 3), ("synthetic_10term.ham", "qwc", 5),
+    ])
+    def test_blocked_width_holds_every_color_on_bundled_systems(self, name, mode, width):
+        """At the default cap the blocked matrix has a column for every color
+        a row can take, the cap or one past the most earlier neighbors of any
+        vertex, and no sampled color goes past it."""
+        g = build_complement_graph(load_hamiltonian(bundled_path(name)), mode)
+        cap = greedy_color(g, "random_sequential", seed=0).max_color
+        mdp = ColoringMDP(g, cap)
+        assert mdp.color_bound == max(cap, 1 + max(len(e) for e in mdp.earlier_neighbors)) == width
+        net = DenseNet.initialize([mdp.encoding_dim, 8, cap], seed=0)
+        rollout, _ = _sample_batch(net, mdp, 64, np.random.Generator(np.random.PCG64(0)))
+        assert rollout.blocked.shape == (mdp.n_vertices, 64, width)
+        assert rollout.assignments.max() <= width
 
     def test_batch_masks_match_scalar_legal_actions(self):
         """The lockstep sampler must agree with the reference state machinery
@@ -938,12 +957,44 @@ class TestTraining:
             assert not [k for k in data.files if k.startswith("adam_")]
         reloaded = TrainedSampler.load(again)
         assert reloaded.config == sampler.config
+        assert reloaded.best_reward == sampler.best.reward and len(reloaded.discovered) == 1
         assert np.array_equal(reloaded.best.assignment, sampler.best.assignment)
         expected = sampler.sample(10, rng=7)
         for other in (loaded, reloaded):
             for (ca, ma, ra), (cb, mb, rb) in zip(expected, other.sample(10, rng=7), strict=True):
                 assert np.array_equal(ca.assignment, cb.assignment)
                 assert ma == mb and ra == rb
+
+    def test_metadata_in_the_earlier_key_order_loads_and_saves_the_same(self, tmp_path):
+        """Metadata written key by key, in the order that save() has always
+        used, loads, and the loaded sampler saves the same metadata text."""
+        h = loads_hamiltonian("qubits: 2\n0.5 Z0\n0.4 X0 X1\n0.3 Z0 Z1\n")
+        sampler = train(h, tiny_config(iterations=3, seed=1, learning_rate=1e-3, accumulation_period=2))
+        config = sampler.config
+        metadata = {
+            "hamiltonian": dump_hamiltonian(h),
+            "mode": config.mode,
+            "color_cap": sampler.mdp.color_cap,
+            "epsilon": config.measurement.epsilon,
+            "lambda0": config.measurement.lambda0,
+            "seed": config.seed,
+            "iterations": config.iterations,
+            "trajectories_per_iteration": config.trajectories_per_iteration,
+            "mask_extra_colors": config.mask_extra_colors,
+            "learning_rate": config.learning_rate,
+            "hidden_sizes": list(config.hidden_sizes),
+            "accumulation_period": config.accumulation_period,
+            "best_assignment": sampler.best.assignment.tolist(),
+        }
+        written = tmp_path / "written.npz"
+        save_checkpoint(written, sampler.net, metadata)
+        loaded = TrainedSampler.load(written)
+        assert loaded.config == config
+        again = tmp_path / "again.npz"
+        loaded.save(again)
+        for path in (written, again):
+            with np.load(path) as data:
+                assert str(data["metadata"]) == json.dumps(metadata)
 
     def test_checkpoint_with_adam_arrays_still_loads(self, tmp_path):
         # the archive format written before checkpoints dropped Adam's state
@@ -972,6 +1023,9 @@ class TestTrainConfig:
         ("hidden_sizes", (0,)), ("hidden_sizes", (8, -1)), ("hidden_sizes", (8.0,)),
         ("hidden_sizes", (True,)), ("hidden_sizes", 8),
         ("mode", "xyz"),
+        # counts that are not ints: a late TypeError, a fractional Adam period, or one iteration
+        ("iterations", 2.5), ("trajectories_per_iteration", 3.0), ("mask_extra_colors", 0.5),
+        ("seed", 1.5), ("accumulation_period", 2.5), ("iterations", True), ("seed", False),
     ])
     def test_out_of_range_field_rejected(self, field, value):
         """The message names the field and ends with the value."""
@@ -983,3 +1037,14 @@ class TestTrainConfig:
         config = TrainConfig(accumulation_period=1, learning_rate=5e-324, hidden_sizes=(1, np.int64(2)))
         assert config.hidden_sizes == (1, 2)
         assert TrainConfig(hidden_sizes=()).hidden_sizes == ()
+        # as a checkpoint's JSON gives them
+        assert TrainConfig(hidden_sizes=[3, 4], learning_rate=1) == TrainConfig(hidden_sizes=(3, 4), learning_rate=1.0)
+        config = TrainConfig(iterations=np.int64(2), seed=np.uint8(0), hidden_sizes=(np.int32(3),))
+        assert (config.iterations, config.seed, config.hidden_sizes) == (2, 0, (3,))
+        assert type(config.iterations) is type(config.seed) is type(config.hidden_sizes[0]) is int
+
+    def test_numpy_ints_save_and_load(self, tmp_path):
+        h = loads_hamiltonian("qubits: 2\n0.5 Z0\n0.4 X0 X1\n0.3 Z0 Z1\n")
+        sampler = train(h, tiny_config(iterations=1, seed=np.int64(1), hidden_sizes=(np.int64(4),)))
+        sampler.save(tmp_path / "c.npz")
+        assert TrainedSampler.load(tmp_path / "c.npz").config == sampler.config
