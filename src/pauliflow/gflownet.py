@@ -14,8 +14,13 @@ core, so sampling holds the assignment rows and uniforms plus a block per
 core, however many rows it asks for; each block draws from its own slice
 of uniforms drawn up front, so the rows do not depend on the core count.
 A single block, as every training batch is, rolls inline on the caller's
-thread. measurement.batch_metrics gives every finished row's m_est and
-reward.
+thread. On several cores train() instead rolls the next iteration's batch
+on one helper thread while the current iteration's loss runs, wherever
+that loss leaves the parameters as they are. Every threaded call, the
+sampling pool and the training overlap, runs with numpy's OpenBLAS pinned
+to one thread (_OneBlasThread), and runs on the caller's thread alone where
+no way to pin it is found. measurement.batch_metrics gives every finished
+row's m_est and reward.
 
 Actions are colors 1..color_cap. The action mask enforces, in order:
   - properness: no already-colored neighbor holds the candidate color;
@@ -156,7 +161,8 @@ def flow_matching_loss(
     top slot); rewards (B,) are the terminal rewards. log_flows
     (B, n, cap) and hidden (one (B, n, h_k) array per hidden layer) are the
     network's outputs and tanh activations at states s_0 .. s_{n-1}, as the
-    training rollout recorded them, so only the backward pass runs here. A
+    training rollout recorded them, so only the backward pass runs here; it
+    uses hidden as scratch (DenseNet.backward_to_pre). A
     trajectory's loss sums the squared log-ratio of inflow to outflow over
     its states, with the terminal outflow replaced by the reward.
     grads[0] is row-sparse, as adam_accumulate_and_step takes it: W0's gradient
@@ -220,12 +226,15 @@ class _BatchRollout:
     per-row state, and step_masks, logits and apply then act on those rows.
     That state (rows, blocked, blocked_counts, max_colors, l1_pre) is the
     only state a step changes besides its rows of the batch arrays, so
-    shallow copies of one rollout can roll disjoint blocks at once.
+    shallow copies of one unstarted rollout can roll disjoint blocks at
+    once. A rollout allocates the block state at its first start() and
+    resets it in place at later ones, so one that rolls block after block
+    (the batch inline, or a pool worker's copy) holds one block state.
 
     Layer-1 preactivations are maintained incrementally per row, since one
     step changes a single vertex slot and the cursor in the encoding: a step
-    builds a (cap, h1) table of the per-color changes and adds the taken
-    color's row to every row.
+    adds to each row the change that its own taken slot makes, four W0 rows
+    per row (_l1_step).
 
     blocked (n, rows, color_bound) marks every color that each vertex's
     colored neighbors hold, forced colors above the cap included,
@@ -242,7 +251,8 @@ class _BatchRollout:
     step's log-flows and hidden activations are kept for the loss, their only
     reader (B * n_vertices rows per layer, so sampling does not record).
     record may instead be an earlier rollout's (actions, masks, log_flows,
-    hidden) to overwrite, so training allocates them once.
+    hidden) to overwrite, so training allocates them once, or twice where
+    it overlaps a rollout with the loss (train).
     """
 
     def __init__(self, net: DenseNet, mdp: ColoringMDP, batch: int, record=False):
@@ -255,15 +265,29 @@ class _BatchRollout:
             actions = np.empty((batch, n), dtype=np.int64)
             record = actions, np.empty((batch, n, cap), dtype=bool), np.empty((batch, n, cap)), hidden
         self.actions, self.masks, self.log_flows, self.hidden = record or (None, None, None, [])
+        self.block_state = None  # (blocked, blocked_counts, max_colors, l1_pre) at their largest block
 
     def start(self, lo: int, hi: int) -> None:
-        """Roll rows lo..hi-1 next, from the initial state."""
-        n, cap = self.mdp.n_vertices, self.mdp.color_cap
+        """Roll rows lo..hi-1 next, from the initial state. The block state
+        is reset in place, and grows only for a block larger than any before
+        it (near-equal blocks differ by one row)."""
+        mdp, rows = self.mdp, hi - lo
+        n = mdp.n_vertices
+        if self.block_state is None or len(self.block_state[2]) < rows:
+            self.block_state = (
+                np.empty((n, rows, mdp.color_bound), dtype=bool),
+                np.empty((n, rows), dtype=np.min_scalar_type(mdp.color_cap)),
+                np.empty(rows, dtype=np.int64),
+                np.empty((rows, self.net.layer_sizes[1])),
+            )
+        blocked, counts, max_colors, l1_pre = self.block_state
         self.rows = slice(lo, hi)
-        self.blocked = np.zeros((n, hi - lo, self.mdp.color_bound), dtype=bool)
-        self.blocked_counts = np.zeros((n, hi - lo), dtype=np.min_scalar_type(cap))
-        self.max_colors = np.zeros(hi - lo, dtype=np.int64)
-        self.l1_pre = np.tile(_l1_start(self.net, self.mdp), (hi - lo, 1))
+        self.blocked, self.blocked_counts = blocked[:, :rows], counts[:, :rows]
+        self.max_colors, self.l1_pre = max_colors[:rows], l1_pre[:rows]
+        self.blocked[...] = False
+        self.blocked_counts[...] = 0
+        self.max_colors[...] = 0
+        self.l1_pre[...] = _l1_start(self.net, mdp)
 
     def step_masks(self, k: int) -> np.ndarray:
         mdp = self.mdp
@@ -310,7 +334,7 @@ class _BatchRollout:
         self.blocked_counts[later] += marked & (colors <= cap)
         self.blocked[later[:, None], rows, colors - 1] = True
         if k + 1 < mdp.n_vertices:
-            self.l1_pre += _l1_step(self.net, mdp, k, np.arange(1, cap + 1))[actions]
+            self.l1_pre += _l1_step(self.net, mdp, k, actions + 1)
 
 
 def _available_cores() -> int:
@@ -319,6 +343,72 @@ def _available_cores() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no sched_getaffinity on this platform
         return os.cpu_count() or 1
+
+
+# (get, set) thread-count symbols of the OpenBLAS builds that numpy ships or links
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+def _openblas_thread_control():
+    """The (get, set) thread-count functions of the OpenBLAS that numpy has
+    loaded, or None where none is found. As threadpoolctl does, the library
+    is found among the process's loaded shared objects (dl_iterate_phdr) and
+    opened with RTLD_NOLOAD, so no second copy is ever loaded."""
+    import ctypes  # only a threaded call pays for the import
+
+    class ObjectInfo(ctypes.Structure):  # the head of struct dl_phdr_info
+        _fields_ = [("addr", ctypes.c_void_p), ("name", ctypes.c_char_p)]
+
+    paths = []
+
+    def visit(info, size, data):
+        paths.append(info.contents.name or b"")
+        return 0
+
+    visitor = ctypes.CFUNCTYPE(ctypes.c_int, ctypes.POINTER(ObjectInfo), ctypes.c_size_t, ctypes.c_void_p)
+    callback = visitor(visit)  # referenced until the walk returns
+    try:
+        walk = ctypes.CDLL(None).dl_iterate_phdr
+    except (AttributeError, OSError, TypeError):  # not a Linux or BSD libc
+        return None
+    walk.argtypes, walk.restype = [visitor, ctypes.c_void_p], ctypes.c_int
+    walk(callback, None)
+    for path in paths:
+        if b"openblas" in os.path.basename(path).lower():
+            lib = ctypes.CDLL(os.fsdecode(path), mode=os.RTLD_NOLOAD)
+            for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
+                if hasattr(lib, get_name) and hasattr(lib, set_name):
+                    get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    set_.argtypes, set_.restype = [ctypes.c_int], None
+                    return get, set_
+    return None
+
+
+class _OneBlasThread:
+    """Context in which numpy's OpenBLAS, on every thread, runs each product
+    on one thread, so that threads of ours do not each start one per core;
+    the old count is restored on exit, also on an error. Entering gives
+    whether the pin holds: False where it is not wanted or no setter is
+    found, and then nothing changes and the caller should start no thread."""
+
+    def __init__(self, wanted: bool = True):
+        self.control = _openblas_thread_control() if wanted else None
+
+    def __enter__(self) -> bool:
+        if self.control is not None:
+            get, set_ = self.control
+            self.saved = get()
+            set_(1)
+        return self.control is not None
+
+    def __exit__(self, *exc) -> None:
+        if self.control is not None:
+            self.control[1](self.saved)
 
 
 def _roll_block(rollout: _BatchRollout, u: np.ndarray, lo: int, hi: int) -> None:
@@ -335,6 +425,12 @@ def _roll_block(rollout: _BatchRollout, u: np.ndarray, lo: int, hi: int) -> None
         actions = (cdf < draws[:, None]).sum(axis=1)
         first, last = mask.argmax(axis=1), cap - 1 - mask[:, ::-1].argmax(axis=1)
         rollout.apply(k, np.clip(actions, first, last), mask)
+
+
+def _roll_spans(rollout: _BatchRollout, u: np.ndarray, spans) -> None:
+    """Roll the blocks (lo, hi) in `spans` one after another on `rollout`."""
+    for lo, hi in spans:
+        _roll_block(rollout, u, lo, hi)
 
 
 def _sample_batch(
@@ -357,34 +453,38 @@ def _sample_batch(
 
     A batch of more than ROLLOUT_BLOCK_ROWS rows on several cores rolls
     blocks of at most half that, 128 rows, on a pool of one thread per core
-    (at most one per block). Each block rolls on a shallow copy of the
-    rollout that holds its own block state and writes its own rows of the
-    shared arrays; numpy releases the interpreter lock in the matrix
-    products and tanh that dominate a step. A block reads only its own
-    uniforms and rows, and near-equal blocks of 128 rows keep at least 64,
-    above the 52 rows below which OpenBLAS rounds a row of the logits
-    differently, so any core count gives the same bits. Blocks are not cut
-    smaller on more cores for that reason. A single block (every training
-    batch) or a single core rolls inline, with no thread and no copy.
+    (at most one per block), with OpenBLAS pinned to one thread meanwhile
+    (_OneBlasThread). Each thread rolls every so many blocks, interleaved,
+    on its own shallow copy of the rollout, which holds one block state for
+    them and writes only those blocks' rows of the shared arrays; numpy
+    releases the interpreter lock in the matrix products and tanh that
+    dominate a step. A block reads only its own uniforms and rows, and
+    near-equal blocks of 128 rows keep at least 64, above the 52 rows below
+    which OpenBLAS rounds a row of the logits differently, so any core
+    count gives the same bits. Blocks are not cut smaller on more cores for
+    that reason. A single block (every training batch), a single core, or
+    an OpenBLAS whose thread count cannot be set rolls inline, with no
+    thread and no copy.
     """
     check_addressable((mdp.n_vertices, batch))
     u = rng.random((mdp.n_vertices, batch))
     rollout = _BatchRollout(net, mdp, batch, record)
     cores = _available_cores() if batch > ROLLOUT_BLOCK_ROWS else 1
-    block_rows = ROLLOUT_BLOCK_ROWS if cores == 1 else ROLLOUT_BLOCK_ROWS // 2
-    blocks = -(-batch // block_rows)
-    edges = [batch * i // blocks for i in range(blocks + 1)]
-    spans = list(zip(edges[:-1], edges[1:]))
-    if cores == 1:
-        for lo, hi in spans:
-            _roll_block(rollout, u, lo, hi)
-    else:
-        from concurrent.futures import ThreadPoolExecutor  # only a pooled call pays for the import
+    with _OneBlasThread(cores > 1) as pinned:
+        block_rows = ROLLOUT_BLOCK_ROWS // 2 if pinned else ROLLOUT_BLOCK_ROWS
+        blocks = -(-batch // block_rows)
+        edges = [batch * i // blocks for i in range(blocks + 1)]
+        spans = list(zip(edges[:-1], edges[1:]))
+        if not pinned:
+            _roll_spans(rollout, u, spans)
+        else:
+            from concurrent.futures import ThreadPoolExecutor  # only a pooled call pays for the import
 
-        with ThreadPoolExecutor(min(blocks, cores)) as pool:
-            # reading every result raises the first block's error, if any
-            for _ in pool.map(lambda span: _roll_block(copy.copy(rollout), u, *span), spans):
-                pass
+            workers = min(blocks, cores)
+            with ThreadPoolExecutor(workers) as pool:
+                # reading every result raises the first thread's error, if any
+                for _ in pool.map(lambda w: _roll_spans(copy.copy(rollout), u, spans[w::workers]), range(workers)):
+                    pass
     return rollout, 0
 
 
@@ -573,6 +673,17 @@ def train(h: QubitHamiltonian, config: TrainConfig | None = None) -> TrainedSamp
     the network's activations, takes the batch-mean flow-matching loss and
     its gradient from them, and feeds that gradient to Adam, which updates
     parameters every accumulation_period iterations.
+
+    On several cores, an iteration that only accumulates its gradient and is
+    not the last hands the next iteration's rollout to one helper thread,
+    right after recording its own rows, and then runs its loss and Adam's
+    accumulation: the rollout reads the parameters that the loss reads, and
+    rollouts alone draw from the rng, in iteration order, so the results are
+    those of the iterations run one after another. The two rollouts in
+    flight record into two sets of arrays, used in turn. Both threads run
+    with OpenBLAS pinned to one thread; on one core, or where OpenBLAS's
+    thread count cannot be set, every iteration runs on the caller's thread.
+    No thread outlives the call, also when it raises.
     """
     if config is None:
         config = TrainConfig()
@@ -587,13 +698,42 @@ def train(h: QubitHamiltonian, config: TrainConfig | None = None) -> TrainedSamp
         net, lr=config.learning_rate, accumulation_period=config.accumulation_period
     )
     sampler = TrainedSampler(h, mdp, net, config)
+    overlap = _available_cores() > 1 and config.accumulation_period > 1 and config.iterations > 1
+    with _OneBlasThread(overlap) as pinned:
+        if not pinned:
+            _train_iterations(sampler, adam, None)
+        else:
+            from concurrent.futures import ThreadPoolExecutor  # only an overlapped run pays for the import
+
+            with ThreadPoolExecutor(1) as helper:  # its exit waits for a rollout in flight
+                _train_iterations(sampler, adam, helper)
+    return sampler
+
+
+def _train_iterations(sampler: TrainedSampler, adam: AdamState, helper) -> None:
+    """train()'s iterations, each next rollout handed ahead to the executor
+    `helper` where one is given and the current iteration does not step."""
+    net, mdp, config = sampler.net, sampler.mdp, sampler.config
     rng = np.random.Generator(np.random.PCG64(config.seed))
     batch = config.trajectories_per_iteration
-    record = True  # the first rollout allocates its recording arrays, later ones reuse them
+    # Each rollout records into the arrays of an earlier one (True: allocate
+    # them): `current` is the set the running iteration's loss reads, `other`
+    # the set a rollout handed ahead overwrites meanwhile.
+    current = other = True
+    ahead = None
     for iteration in range(config.iterations):
         try:
-            rollout, _ = _sample_batch(net, mdp, batch, rng, record=record)
+            if ahead is None:
+                rollout, _ = _sample_batch(net, mdp, batch, rng, record=current)
+            else:
+                (rollout, _), other = ahead.result(), current
+            current = rollout.actions, rollout.masks, rollout.log_flows, rollout.hidden
             rewards = sampler._record(rollout.assignments, iteration)
+            best, best_reward = sampler.best, sampler.best_reward
+            accumulates_only = adam.accum_count + 1 < adam.accumulation_period
+            ahead = None
+            if helper is not None and accumulates_only and iteration + 1 < config.iterations:
+                ahead = helper.submit(_sample_batch, net, mdp, batch, rng, record=other)
             mean_loss, grads, rows0 = flow_matching_loss(
                 net, mdp, rollout.actions, rollout.masks, rewards, rollout.log_flows, rollout.hidden
             )
@@ -601,19 +741,16 @@ def train(h: QubitHamiltonian, config: TrainConfig | None = None) -> TrainedSamp
                 check_finite(net, f"iteration {iteration}")
         except NumericError as err:
             raise NumericError(f"iteration {iteration}: {err}") from err
-        record = rollout.actions, rollout.masks, rollout.log_flows, rollout.hidden
-        del rollout, grads  # free them before the next rollout starts
-        best = sampler.best
+        del rollout, grads  # free them before the next loss
         sampler.log.append(
             IterationLog(
                 iteration=iteration,
                 mean_loss=mean_loss,
-                best_reward=sampler.best_reward,
+                best_reward=best_reward,
                 best_m_est=best.m_est,
                 best_colors=best.color_count,
             )
         )
-    return sampler
 
 
 def training_log_csv(log: list[IterationLog]) -> str:

@@ -5,9 +5,10 @@ Float64 throughout. Hidden layers use tanh; the output layer is linear and is
 interpreted downstream as log-flows, so flows stay positive by construction.
 The network takes no input vectors: its inputs are one-hot state encodings,
 so the sampler in gflownet forms the layer-1 preactivations by adding rows
-of W0, and forward_from_pre/backward_to_pre run the layers above. Both are
-pure given the parameters. The first layer's gradient is always row-sparse:
-only the rows it touches, with their indices. The optimizer mutates
+of W0, and forward_from_pre/backward_to_pre run the layers above. Both
+leave the parameters as they are, and backward_to_pre reuses the hidden
+activations it is given as scratch. The first layer's gradient is always
+row-sparse: only the rows it touches, with their indices. The optimizer mutates
 parameters, moments and its gradient accumulator in place, a block of rows
 at a time, and must be serialized externally (one writer at a time).
 """
@@ -93,16 +94,24 @@ class DenseNet:
         """Backprop of output gradients (B, out) through the layers above the
         input layer, given forward_from_pre's hidden activations. Returns
         (grads shaped like parameters() with [0:2] left empty, gradient at the
-        layer-1 preactivations)."""
+        layer-1 preactivations).
+
+        Consumes `hidden`: once a layer's activations have given its weight
+        gradient, they hold its tanh slope 1 - h^2, and then serve as the
+        output of the next product of their shape, which may be the returned
+        gradient. With hidden layers of one width the pass so allocates one
+        (B, h) array, the first product."""
         grads: list[np.ndarray] = [np.empty(0)] * (2 * self.n_layers)
-        delta = gout
+        delta, spent = gout, None
         for k in range(self.n_layers - 1, 0, -1):
-            grads[2 * k] = hidden[k - 1].T @ delta
+            h = hidden[k - 1]
+            grads[2 * k] = h.T @ delta
             grads[2 * k + 1] = delta.sum(axis=0)
-            delta = delta @ self.weights[k].T
-            slope = np.square(hidden[k - 1])  # 1 - h^2, formed in place
+            out = spent if spent is not None and spent.shape == h.shape else None
+            delta = np.matmul(delta, self.weights[k].T, out=out)
+            slope = np.square(h, out=h)  # 1 - h^2, in place of the activations
             delta *= np.subtract(1.0, slope, out=slope)
-            del slope  # before the next layer's product allocates
+            spent = h
         return grads, delta
 
 
@@ -145,7 +154,12 @@ def adam_accumulate_and_step(
         want = (len(rows0), *p.shape[1:]) if i == 0 else p.shape
         if g.shape != want:
             raise DimensionError(f"gradient shape {g.shape} does not match {want}")
-        acc[rows0 if i == 0 else ...] += g
+        if i > 0:
+            acc += g
+        else:  # a block of rows at a time, so that no gradient-sized gather is made
+            block = max(1, ADAM_BLOCK_BYTES // max(g[:1].nbytes, 1))
+            for lo in range(0, len(rows0), block):
+                acc[rows0[lo : lo + block]] += g[lo : lo + block]
     state.accum_count += 1
     if state.accum_count < state.accumulation_period:
         return False

@@ -1,6 +1,7 @@
 import json
 import sys
 import threading
+import time
 import tracemalloc
 from concurrent import futures
 
@@ -562,21 +563,47 @@ class TestBlockedRollout:
         assert sorted(spans) == rows
 
     def test_one_block_or_one_core_starts_no_thread(self, monkeypatch):
-        """A training batch is one block and rolls inline, with no pool and
-        no thread, on any core count; so do several blocks on one core."""
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("started a thread")
-
-        monkeypatch.setattr(futures, "ThreadPoolExecutor", refuse)
-        monkeypatch.setattr(threading.Thread, "start", refuse)
-        monkeypatch.setattr(gflownet, "_available_cores", lambda: 4)
+        """On one core, or where no BLAS thread-count setter is found,
+        training and several blocks' sampling start no thread. On several
+        cores a training batch is still one block, with no pool: train()
+        starts one helper thread, which is gone when it returns."""
         h = load_hamiltonian(bundled_path("h2_sto3g_1A_jw.ham"))
-        config = TrainConfig(iterations=3, hidden_sizes=(8,), accumulation_period=1)
+        config = TrainConfig(iterations=4, hidden_sizes=(8,), accumulation_period=3)
         assert config.trajectories_per_iteration <= gflownet.ROLLOUT_BLOCK_ROWS
-        sampler = train(h, config)
-        monkeypatch.setattr(gflownet, "_available_cores", lambda: 1)
-        assert len(sampler.sample(3 * gflownet.ROLLOUT_BLOCK_ROWS)) == 3 * gflownet.ROLLOUT_BLOCK_ROWS
+        started = []
+        start = threading.Thread.start
+
+        def counted(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counted)
+        found = gflownet._openblas_thread_control
+        for cores, control in [(1, found), (4, lambda: None)]:
+            monkeypatch.setattr(gflownet, "_available_cores", lambda: cores)
+            monkeypatch.setattr(gflownet, "_openblas_thread_control", control)
+            sampler = train(h, config)
+            assert len(sampler.sample(3 * gflownet.ROLLOUT_BLOCK_ROWS)) == 3 * gflownet.ROLLOUT_BLOCK_ROWS
+            assert started == []
+
+        monkeypatch.setattr(gflownet, "_openblas_thread_control", found)
+        if found() is None:
+            pytest.skip("no OpenBLAS thread-count setter in this numpy")
+        spans, pools = [], []
+        roll_block, executor = gflownet._roll_block, futures.ThreadPoolExecutor
+
+        def counted_block(rollout, u, lo, hi):
+            spans.append(hi - lo)
+            roll_block(rollout, u, lo, hi)
+
+        monkeypatch.setattr(gflownet, "_roll_block", counted_block)
+        monkeypatch.setattr(futures, "ThreadPoolExecutor", lambda workers: pools.append(workers) or executor(workers))
+        monkeypatch.setattr(gflownet, "_available_cores", lambda: 4)
+        threads = threading.active_count()
+        train(h, config)
+        assert spans == [config.trajectories_per_iteration] * config.iterations
+        assert pools == [1] and len(started) == 1
+        assert threading.active_count() == threads
 
     def test_error_in_a_block_propagates_and_stops_the_pool(self, monkeypatch):
         """An exception in one block of a pooled rollout leaves _sample_batch
@@ -1012,6 +1039,119 @@ class TestTraining:
         assert loaded.config == sampler.config
         for (ca, ma, _), (cb, mb, _) in zip(sampler.sample(10, rng=3), loaded.sample(10, rng=3), strict=True):
             assert np.array_equal(ca.assignment, cb.assignment) and ma == mb
+
+
+@pytest.fixture
+def blas_threads():
+    """The getter of numpy's OpenBLAS thread count, which the test starts at
+    2, so that a pin to one thread shows, and which is restored after it."""
+    control = gflownet._openblas_thread_control()
+    if control is None:
+        pytest.skip("no OpenBLAS thread-count setter in this numpy")
+    get, set_ = control
+    saved = get()
+    set_(2)
+    yield get
+    set_(saved)
+
+
+class TestTrainingOverlap:
+    """On several cores train() rolls iteration i+1's batch on a helper
+    thread while iteration i's loss runs, wherever iteration i does not step
+    Adam and is not the last."""
+
+    @pytest.mark.parametrize("period, iterations", [(1, 5), (3, 8), (3, 9), (10, 14)])
+    def test_overlapped_training_gives_the_inline_results(
+        self, monkeypatch, frequent_thread_switches, period, iterations
+    ):
+        """Parameters, log, discovered rows and their first iterations are
+        those of the run on one core, and exactly the rollouts after a
+        non-stepping iteration run off the main thread."""
+        h = load_hamiltonian(bundled_path("h2_sto3g_1A_jw.ham"))
+        config = TrainConfig(iterations=iterations, hidden_sizes=(16, 16), accumulation_period=period, seed=1)
+        sample_batch = gflownet._sample_batch
+        runs = {}
+        for cores in (1, 2):
+            on_main = []
+
+            def spy(*args, **kwargs):
+                on_main.append(threading.current_thread() is threading.main_thread())
+                return sample_batch(*args, **kwargs)
+
+            monkeypatch.setattr(gflownet, "_sample_batch", spy)
+            monkeypatch.setattr(gflownet, "_available_cores", lambda: cores)
+            sampler = train(h, config)
+            found = {key: (row.first_iteration, row.m_est) for key, row in sampler.discovered.items()}
+            runs[cores] = sampler.net.parameters(), training_log_csv(sampler.log), found, on_main
+        (params, log, found, on_main), (params2, log2, found2, on_main2) = runs[1], runs[2]
+        for a, b in zip(params, params2, strict=True):
+            assert np.array_equal(a, b)
+        assert log == log2 and found == found2
+        assert on_main == [True] * iterations
+        if gflownet._openblas_thread_control() is not None:
+            assert on_main2 == [j == 0 or j % period == 0 for j in range(iterations)]
+
+    def test_loss_error_with_a_rollout_in_flight_names_its_iteration(self, monkeypatch, blas_threads):
+        """A NumericError in iteration 1's loss, raised while iteration 2's
+        rollout runs on the helper thread, names iteration 1; train() returns
+        only once that rollout has finished, with the BLAS count restored."""
+        monkeypatch.setattr(gflownet, "_available_cores", lambda: 2)
+        raised, rollouts, losses, finished = threading.Event(), [], [], []
+        sample_batch, loss = gflownet._sample_batch, gflownet.flow_matching_loss
+
+        def slow_sample(*args, **kwargs):
+            rollouts.append(threading.current_thread() is threading.main_thread())
+            if len(rollouts) == 3:  # iteration 2's, handed ahead by iteration 1
+                raised.wait(5.0)
+                time.sleep(0.05)  # still in flight after the error has left the loop
+            result = sample_batch(*args, **kwargs)
+            finished.append(blas_threads())
+            return result
+
+        def failing_loss(*args):
+            losses.append(args)
+            if len(losses) == 2:
+                raised.set()
+                raise gflownet.NumericError("injected")
+            return loss(*args)
+
+        monkeypatch.setattr(gflownet, "_sample_batch", slow_sample)
+        monkeypatch.setattr(gflownet, "flow_matching_loss", failing_loss)
+        h = load_hamiltonian(bundled_path("h2_sto3g_1A_jw.ham"))
+        threads = threading.active_count()
+        with pytest.raises(gflownet.NumericError, match=r"^iteration 1: injected$"):
+            train(h, TrainConfig(iterations=5, hidden_sizes=(8,)))
+        assert rollouts == [True, False, False]
+        assert finished == [1, 1, 1]  # the third rollout ran to its end, at one BLAS thread
+        assert threading.active_count() == threads
+        assert blas_threads() == 2
+
+    def test_blas_count_is_restored(self, monkeypatch, blas_threads):
+        """Overlapped training and pooled sampling roll at one BLAS thread, and
+        the count is restored after them, also when a block raises."""
+        monkeypatch.setattr(gflownet, "_available_cores", lambda: 2)
+        counts = []
+        roll_block = gflownet._roll_block
+
+        def spy(rollout, u, lo, hi):
+            counts.append(blas_threads())
+            roll_block(rollout, u, lo, hi)
+
+        monkeypatch.setattr(gflownet, "_roll_block", spy)
+        h = load_hamiltonian(bundled_path("h2_sto3g_1A_jw.ham"))
+        sampler = train(h, TrainConfig(iterations=3, hidden_sizes=(8,)))
+        assert counts == [1, 1, 1] and blas_threads() == 2
+        counts.clear()
+        sampler.sample(2 * gflownet.ROLLOUT_BLOCK_ROWS)
+        assert counts == [1] * 4 and blas_threads() == 2
+
+        def fail(rollout, u, lo, hi):
+            raise RuntimeError("block")
+
+        monkeypatch.setattr(gflownet, "_roll_block", fail)
+        with pytest.raises(RuntimeError, match="block"):
+            sampler.sample(2 * gflownet.ROLLOUT_BLOCK_ROWS)
+        assert blas_threads() == 2
 
 
 class TestTrainConfig:

@@ -144,6 +144,26 @@ class TestBackward:
             assert np.allclose(a, b)
 
 
+    @pytest.mark.parametrize("sizes", [[5, 8, 8, 8, 3], [5, 7, 4, 6, 3]])
+    def test_consuming_pass_gives_the_bits_of_an_allocating_one(self, sizes):
+        """backward_to_pre reuses the hidden activations it is given (for the
+        tanh slopes and, where the shapes match, the products); its results
+        are those of a pass that allocates every temporary, bit for bit."""
+        net = DenseNet.initialize(sizes, seed=len(set(sizes)))
+        rng = np.random.Generator(np.random.PCG64(1))
+        _, hidden = net.forward_from_pre(rng.normal(size=(30, sizes[1])))
+        gout = rng.normal(size=(30, sizes[-1]))
+        want, delta = [], gout
+        for k in range(net.n_layers - 1, 0, -1):
+            want += [hidden[k - 1].T @ delta, delta.sum(axis=0)]
+            delta = (delta @ net.weights[k].T) * (1.0 - hidden[k - 1] ** 2)
+        grads, got = net.backward_to_pre([h.copy() for h in hidden], gout.copy())
+        assert np.array_equal(got, delta)
+        for k in range(net.n_layers - 1, 0, -1):
+            assert np.array_equal(grads[2 * k], want.pop(0))
+            assert np.array_equal(grads[2 * k + 1], want.pop(0))
+
+
 def all_rows(net):
     """rows0 for a first-layer gradient that holds every row of W0."""
     return np.arange(net.weights[0].shape[0])
@@ -206,7 +226,8 @@ class TestAdam:
 
     @pytest.mark.parametrize("period", [1, 10])
     def test_in_place_step_matches_reference_bit_for_bit(self, period):
-        """W0 spans three row blocks of the step, the last one partial. Calls
+        """W0 spans three row blocks of the step, the last one partial, and a
+        600-row first gradient two blocks of its accumulation. Calls
         alternate a first gradient on all of W0's rows outside 300..399, in
         shuffled order, with one on a random subset of them, so those 100
         rows never change."""
