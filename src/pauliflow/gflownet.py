@@ -394,7 +394,9 @@ class _OneBlasThread:
     on one thread, so that threads of ours do not each start one per core;
     the old count is restored on exit, also on an error. Entering gives
     whether the pin holds: False where it is not wanted or no setter is
-    found, and then nothing changes and the caller should start no thread."""
+    found, and then nothing changes and the caller should start no thread.
+    Pins entered at once on threads of the caller's own restore in the
+    order they exit, so they can leave the count at one."""
 
     def __init__(self, wanted: bool = True):
         self.control = _openblas_thread_control() if wanted else None
