@@ -9,18 +9,18 @@ against the total outgoing flow (or the terminal reward).
 The lockstep batch rollout, _BatchRollout, is the only implementation of
 this MDP: train(), TrainedSampler.sample() and so the histogram command all
 run it, its step_masks is the one action mask, and its docstring gives what
-a step costs. A batch rolls out in blocks of rows, one block in flight per
-core, so sampling holds the assignment rows and uniforms plus a block per
-core, however many rows it asks for; each block draws from its own slice
-of uniforms drawn up front, so the rows do not depend on the core count.
-A single block, as every training batch is, rolls inline on the caller's
-thread. On several cores train() instead rolls the next iteration's batch
-on one helper thread while the current iteration's loss runs, wherever
-that loss leaves the parameters as they are. Every threaded call, the
-sampling pool and the training overlap, runs with numpy's OpenBLAS pinned
-to one thread (_OneBlasThread), and runs on the caller's thread alone where
-no way to pin it is found. measurement.batch_metrics gives every finished
-row's m_est and reward.
+a step costs. A batch rolls out in near-equal blocks of at most
+ROLLOUT_BLOCK_ROWS rows, one block in flight per core, so sampling holds
+the assignment rows and uniforms plus a block per core, however many rows
+it asks for; each block draws from its own slice of uniforms drawn up
+front, so the rows do not depend on the core count. Every threaded call
+runs in one context, _PinnedPool, which pins numpy's OpenBLAS to one thread
+and gives an executor: the blocks of a batch roll on a pool of one thread
+per core, and train() rolls the next iteration's batch on one helper thread
+while the current iteration's loss runs, wherever that loss leaves the
+parameters as they are. On one core, for a single block, or where no way to
+pin OpenBLAS is found, the call runs on the caller's thread alone.
+measurement.batch_metrics gives every finished row's m_est and reward.
 
 Actions are colors 1..color_cap. The action mask enforces, in order:
   - properness: no already-colored neighbor holds the candidate color;
@@ -49,7 +49,9 @@ backward pass.
 from __future__ import annotations
 
 import copy
+import ctypes
 import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,11 +71,11 @@ from .nn import (
 )
 from .pauli import QubitHamiltonian
 
-# The most rows rolled out at a time on one core: one block's per-row state
-# and (rows, h) forward temporaries stay in cache, and do not grow with the
-# sample count. A larger batch on several cores rolls blocks of half as many
-# rows, one per core, so that 2 cores hold as many rows in flight as one.
-ROLLOUT_BLOCK_ROWS = 256
+# The most rows rolled out at a time, inline or on a pool thread: one block's
+# per-row state and (rows, h) forward temporaries stay in cache, and do not
+# grow with the sample count. The near-equal blocks of a larger batch hold at
+# least 64 rows, above the 52 below which OpenBLAS rounds a row differently.
+ROLLOUT_BLOCK_ROWS = 128
 
 
 class ColoringMDP:
@@ -226,10 +228,11 @@ class _BatchRollout:
     per-row state, and step_masks, logits and apply then act on those rows.
     That state (rows, blocked, blocked_counts, max_colors, l1_pre) is the
     only state a step changes besides its rows of the batch arrays, so
-    shallow copies of one unstarted rollout can roll disjoint blocks at
-    once. A rollout allocates the block state at its first start() and
-    resets it in place at later ones, so one that rolls block after block
-    (the batch inline, or a pool worker's copy) holds one block state.
+    shallow copies of one rollout, each with its own block state, can roll
+    disjoint blocks at once. A rollout allocates the block state at its
+    first start() and resets it in place at later ones, so one that rolls
+    block after block (the batch inline, a pool worker's copy, or training's
+    kept rollouts, batch after batch) holds one block state.
 
     Layer-1 preactivations are maintained incrementally per row, since one
     step changes a single vertex slot and the cursor in the encoding: a step
@@ -250,21 +253,23 @@ class _BatchRollout:
     With record=True, the action slots (B, n), the masks (B, n, cap) and each
     step's log-flows and hidden activations are kept for the loss, their only
     reader (B * n_vertices rows per layer, so sampling does not record).
-    record may instead be an earlier rollout's (actions, masks, log_flows,
-    hidden) to overwrite, so training allocates them once, or twice where
-    it overlaps a rollout with the loss (train).
+    Every step writes its column of every row of these arrays and of the
+    assignments, so a rollout can roll batch after batch with no reset:
+    training keeps its recording rollouts across iterations (train).
     """
 
-    def __init__(self, net: DenseNet, mdp: ColoringMDP, batch: int, record=False):
+    def __init__(self, net: DenseNet, mdp: ColoringMDP, batch: int, record: bool = False):
         n, cap = mdp.n_vertices, mdp.color_cap
         self.net = net
         self.mdp = mdp
         self.assignments = np.zeros((batch, n), dtype=np.int64)
-        if record is True:
-            hidden = [np.empty((batch, n, size)) for size in net.layer_sizes[1:-1]]
-            actions = np.empty((batch, n), dtype=np.int64)
-            record = actions, np.empty((batch, n, cap), dtype=bool), np.empty((batch, n, cap)), hidden
-        self.actions, self.masks, self.log_flows, self.hidden = record or (None, None, None, [])
+        self.actions = self.masks = self.log_flows = None
+        self.hidden = []
+        if record:
+            self.actions = np.empty((batch, n), dtype=np.int64)
+            self.masks = np.empty((batch, n, cap), dtype=bool)
+            self.log_flows = np.empty((batch, n, cap))
+            self.hidden = [np.empty((batch, n, size)) for size in net.layer_sizes[1:-1]]
         self.block_state = None  # (blocked, blocked_counts, max_colors, l1_pre) at their largest block
 
     def start(self, lo: int, hi: int) -> None:
@@ -355,31 +360,24 @@ _OPENBLAS_THREAD_SYMBOLS = (
 
 def _openblas_thread_control():
     """The (get, set) thread-count functions of the OpenBLAS that numpy has
-    loaded, or None where none is found. As threadpoolctl does, the library
-    is found among the process's loaded shared objects (dl_iterate_phdr) and
-    opened with RTLD_NOLOAD, so no second copy is ever loaded."""
-    import ctypes  # only a threaded call pays for the import
-
-    class ObjectInfo(ctypes.Structure):  # the head of struct dl_phdr_info
-        _fields_ = [("addr", ctypes.c_void_p), ("name", ctypes.c_char_p)]
-
-    paths = []
-
-    def visit(info, size, data):
-        paths.append(info.contents.name or b"")
-        return 0
-
-    visitor = ctypes.CFUNCTYPE(ctypes.c_int, ctypes.POINTER(ObjectInfo), ctypes.c_size_t, ctypes.c_void_p)
-    callback = visitor(visit)  # referenced until the walk returns
+    loaded, or None where none is found. The library is found among the
+    files that the process has mapped (/proc/self/maps, so on Linux only)
+    and opened with RTLD_NOLOAD, so no second copy is ever loaded. The list
+    is read from a file, not walked with dl_iterate_phdr as threadpoolctl
+    does: that walk runs its Python callback holding the loader's lock, and
+    so deadlocks with a thread that holds the interpreter lock in dlopen, as
+    an import or another pool's lookup does."""
     try:
-        walk = ctypes.CDLL(None).dl_iterate_phdr
-    except (AttributeError, OSError, TypeError):  # not a Linux or BSD libc
+        with open("/proc/self/maps") as maps:
+            paths = {line.split(maxsplit=5)[-1].rstrip("\n") for line in maps}
+    except OSError:  # no /proc
         return None
-    walk.argtypes, walk.restype = [visitor, ctypes.c_void_p], ctypes.c_int
-    walk(callback, None)
-    for path in paths:
-        if b"openblas" in os.path.basename(path).lower():
-            lib = ctypes.CDLL(os.fsdecode(path), mode=os.RTLD_NOLOAD)
+    for path in sorted(paths):
+        if "openblas" in os.path.basename(path).lower():
+            try:
+                lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+            except OSError:  # a file deleted since it was mapped
+                continue
             for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
                 if hasattr(lib, get_name) and hasattr(lib, set_name):
                     get, set_ = getattr(lib, get_name), getattr(lib, set_name)
@@ -389,28 +387,48 @@ def _openblas_thread_control():
     return None
 
 
-class _OneBlasThread:
-    """Context in which numpy's OpenBLAS, on every thread, runs each product
-    on one thread, so that threads of ours do not each start one per core;
-    the old count is restored on exit, also on an error. Entering gives
-    whether the pin holds: False where it is not wanted or no setter is
-    found, and then nothing changes and the caller should start no thread.
-    Pins entered at once on threads of the caller's own restore in the
-    order they exit, so they can leave the count at one."""
+class _PinnedPool:
+    """Context that gives an executor of `workers` threads, with numpy's
+    OpenBLAS pinned to one thread meanwhile, so that threads of ours do not
+    each start one per core. Its exit waits for the executor's work and then
+    restores the thread count, also on an error. Pools open at once, on the
+    caller's threads or nested in one another, share one pin: the first to
+    enter saves the count and the last to exit restores it. With no workers,
+    or where no setter is found, it gives None and changes nothing, and the
+    caller runs inline."""
 
-    def __init__(self, wanted: bool = True):
-        self.control = _openblas_thread_control() if wanted else None
+    # OpenBLAS's thread count is the process's, so its holders are counted here
+    lock = threading.Lock()
+    holders = 0  # pools open now, on any thread
+    saved = 0  # the thread count before the first of them
 
-    def __enter__(self) -> bool:
-        if self.control is not None:
-            get, set_ = self.control
-            self.saved = get()
-            set_(1)
-        return self.control is not None
+    def __init__(self, workers: int):
+        self.workers = workers
+        self.control = _openblas_thread_control() if workers > 0 else None
+
+    def __enter__(self):
+        if self.control is None:
+            return None
+        from concurrent.futures import ThreadPoolExecutor  # only a threaded call pays for the import
+
+        self.pool = ThreadPoolExecutor(self.workers)  # starts its threads on the first submit
+        get, set_ = self.control
+        with _PinnedPool.lock:
+            if _PinnedPool.holders == 0:
+                _PinnedPool.saved = get()
+                set_(1)
+            _PinnedPool.holders += 1
+        return self.pool
 
     def __exit__(self, *exc) -> None:
         if self.control is not None:
-            self.control[1](self.saved)
+            try:
+                self.pool.shutdown()
+            finally:
+                with _PinnedPool.lock:
+                    _PinnedPool.holders -= 1
+                    if _PinnedPool.holders == 0:
+                        self.control[1](_PinnedPool.saved)
 
 
 def _roll_block(rollout: _BatchRollout, u: np.ndarray, lo: int, hi: int) -> None:
@@ -429,64 +447,59 @@ def _roll_block(rollout: _BatchRollout, u: np.ndarray, lo: int, hi: int) -> None
         rollout.apply(k, np.clip(actions, first, last), mask)
 
 
-def _roll_spans(rollout: _BatchRollout, u: np.ndarray, spans) -> None:
-    """Roll the blocks (lo, hi) in `spans` one after another on `rollout`."""
-    for lo, hi in spans:
-        _roll_block(rollout, u, lo, hi)
-
-
 def _sample_batch(
-    net: DenseNet, mdp: ColoringMDP, batch: int, rng: np.random.Generator, record=False
+    net: DenseNet, mdp: ColoringMDP, batch: int, rng: np.random.Generator, record: bool = False,
+    rollout: _BatchRollout | None = None,
 ) -> tuple[_BatchRollout, int]:
     """Roll a lockstep batch, drawing each step's action from the softmax of
     the log-flows over the legal slots. Returns the rollout and 0, the number
     of restarts: no mask is empty, so no trajectory is re-rolled (perfbench
     reads the count). With record set the rollout keeps what the loss reads
-    (see _BatchRollout).
+    (see _BatchRollout). The batch rolls into `rollout` where one is given,
+    an earlier call's return with this net, mdp, batch and record.
 
     One call draws every uniform, u (n, batch), step-major, so u[k] holds
     what rng.random(batch) at step k would give; a batch whose uniforms do
-    not fit raises MemoryError before any draw. The rows then roll out in
-    near-equal blocks of at most ROLLOUT_BLOCK_ROWS, with the samples of one
-    batch: no block is a small remainder, for which BLAS would round the
-    logits differently (gemv for one row). A draw is clipped to the row's
-    legal slots: u == 0 would pick slot 0, and u times the (pairwise) sum of
-    the flows can pass their (sequential) cumulative sum.
+    not fit raises MemoryError before any draw or allocation. The rows then
+    roll out in near-equal blocks of at most ROLLOUT_BLOCK_ROWS, with the
+    samples of one batch: a batch of several blocks keeps at least 64 rows
+    in each, above the 52 rows below which OpenBLAS rounds a row of the
+    logits differently (gemv for one row), so the block size and the core
+    count do not change the bits. A draw is clipped to the row's legal
+    slots: u == 0 would pick slot 0, and u times the (pairwise) sum of the
+    flows can pass their (sequential) cumulative sum.
 
-    A batch of more than ROLLOUT_BLOCK_ROWS rows on several cores rolls
-    blocks of at most half that, 128 rows, on a pool of one thread per core
-    (at most one per block), with OpenBLAS pinned to one thread meanwhile
-    (_OneBlasThread). Each thread rolls every so many blocks, interleaved,
-    on its own shallow copy of the rollout, which holds one block state for
-    them and writes only those blocks' rows of the shared arrays; numpy
-    releases the interpreter lock in the matrix products and tanh that
-    dominate a step. A block reads only its own uniforms and rows, and
-    near-equal blocks of 128 rows keep at least 64, above the 52 rows below
-    which OpenBLAS rounds a row of the logits differently, so any core
-    count gives the same bits. Blocks are not cut smaller on more cores for
-    that reason. A single block (every training batch), a single core, or
-    an OpenBLAS whose thread count cannot be set rolls inline, with no
-    thread and no copy.
+    A batch of several blocks on several cores rolls on a _PinnedPool of
+    one thread per core (at most one per block). Each thread rolls every so
+    many blocks, interleaved, on its own shallow copy of the rollout, which
+    holds one block state for them and writes only those blocks' rows of
+    the shared arrays; numpy releases the interpreter lock in the matrix
+    products and tanh that dominate a step. A single block (every training
+    batch of the paper's recipe), a single core, or an OpenBLAS whose thread
+    count cannot be set rolls inline, with no thread and no copy.
     """
     check_addressable((mdp.n_vertices, batch))
     u = rng.random((mdp.n_vertices, batch))
-    rollout = _BatchRollout(net, mdp, batch, record)
-    cores = _available_cores() if batch > ROLLOUT_BLOCK_ROWS else 1
-    with _OneBlasThread(cores > 1) as pinned:
-        block_rows = ROLLOUT_BLOCK_ROWS // 2 if pinned else ROLLOUT_BLOCK_ROWS
-        blocks = -(-batch // block_rows)
-        edges = [batch * i // blocks for i in range(blocks + 1)]
-        spans = list(zip(edges[:-1], edges[1:]))
-        if not pinned:
-            _roll_spans(rollout, u, spans)
-        else:
-            from concurrent.futures import ThreadPoolExecutor  # only a pooled call pays for the import
+    if rollout is None:
+        rollout = _BatchRollout(net, mdp, batch, record)
+    blocks = -(-batch // ROLLOUT_BLOCK_ROWS)
+    edges = [batch * i // blocks for i in range(blocks + 1)]
+    spans = list(zip(edges[:-1], edges[1:]))
+    workers = min(blocks, _available_cores())
 
-            workers = min(blocks, cores)
-            with ThreadPoolExecutor(workers) as pool:
-                # reading every result raises the first thread's error, if any
-                for _ in pool.map(lambda w: _roll_spans(copy.copy(rollout), u, spans[w::workers]), range(workers)):
-                    pass
+    def roll(w: int) -> None:  # every workers-th block from w, on a copy with its own block state
+        mine = copy.copy(rollout)
+        mine.block_state = None
+        for lo, hi in spans[w::workers]:
+            _roll_block(mine, u, lo, hi)
+
+    with _PinnedPool(workers if workers > 1 else 0) as pool:
+        if pool is None:
+            for lo, hi in spans:
+                _roll_block(rollout, u, lo, hi)
+        else:  # reading every result raises the first thread's error, if any
+            for _ in pool.map(roll, range(workers)):
+                pass
     return rollout, 0
 
 
@@ -677,15 +690,16 @@ def train(h: QubitHamiltonian, config: TrainConfig | None = None) -> TrainedSamp
     parameters every accumulation_period iterations.
 
     On several cores, an iteration that only accumulates its gradient and is
-    not the last hands the next iteration's rollout to one helper thread,
-    right after recording its own rows, and then runs its loss and Adam's
-    accumulation: the rollout reads the parameters that the loss reads, and
-    rollouts alone draw from the rng, in iteration order, so the results are
-    those of the iterations run one after another. The two rollouts in
-    flight record into two sets of arrays, used in turn. Both threads run
-    with OpenBLAS pinned to one thread; on one core, or where OpenBLAS's
-    thread count cannot be set, every iteration runs on the caller's thread.
-    No thread outlives the call, also when it raises.
+    not the last hands the next iteration's rollout to one helper thread
+    (_PinnedPool), right after recording its own rows, and then runs its
+    loss and Adam's accumulation: the rollout reads the parameters that the
+    loss reads, and rollouts alone draw from the rng, in iteration order, so
+    the results are those of the iterations run one after another. Training
+    keeps its recording rollouts, one inline or two where it overlaps, and
+    rolls iteration i into rollouts[i % len(rollouts)], so a rollout handed
+    ahead never writes what the running loss reads. On one core, or where
+    OpenBLAS's thread count cannot be set, every iteration runs on the
+    caller's thread. No thread outlives the call, also when it raises.
     """
     if config is None:
         config = TrainConfig()
@@ -700,59 +714,39 @@ def train(h: QubitHamiltonian, config: TrainConfig | None = None) -> TrainedSamp
         net, lr=config.learning_rate, accumulation_period=config.accumulation_period
     )
     sampler = TrainedSampler(h, mdp, net, config)
-    overlap = _available_cores() > 1 and config.accumulation_period > 1 and config.iterations > 1
-    with _OneBlasThread(overlap) as pinned:
-        if not pinned:
-            _train_iterations(sampler, adam, None)
-        else:
-            from concurrent.futures import ThreadPoolExecutor  # only an overlapped run pays for the import
-
-            with ThreadPoolExecutor(1) as helper:  # its exit waits for a rollout in flight
-                _train_iterations(sampler, adam, helper)
-    return sampler
-
-
-def _train_iterations(sampler: TrainedSampler, adam: AdamState, helper) -> None:
-    """train()'s iterations, each next rollout handed ahead to the executor
-    `helper` where one is given and the current iteration does not step."""
-    net, mdp, config = sampler.net, sampler.mdp, sampler.config
     rng = np.random.Generator(np.random.PCG64(config.seed))
     batch = config.trajectories_per_iteration
-    # Each rollout records into the arrays of an earlier one (True: allocate
-    # them): `current` is the set the running iteration's loss reads, `other`
-    # the set a rollout handed ahead overwrites meanwhile.
-    current = other = True
-    ahead = None
-    for iteration in range(config.iterations):
-        try:
-            if ahead is None:
-                rollout, _ = _sample_batch(net, mdp, batch, rng, record=current)
-            else:
-                (rollout, _), other = ahead.result(), current
-            current = rollout.actions, rollout.masks, rollout.log_flows, rollout.hidden
-            rewards = sampler._record(rollout.assignments, iteration)
-            best, best_reward = sampler.best, sampler.best_reward
-            accumulates_only = adam.accum_count + 1 < adam.accumulation_period
-            ahead = None
-            if helper is not None and accumulates_only and iteration + 1 < config.iterations:
-                ahead = helper.submit(_sample_batch, net, mdp, batch, rng, record=other)
-            mean_loss, grads, rows0 = flow_matching_loss(
-                net, mdp, rollout.actions, rollout.masks, rewards, rollout.log_flows, rollout.hidden
-            )
-            if adam_accumulate_and_step(adam, net.parameters(), grads, rows0):
-                check_finite(net, f"iteration {iteration}")
-        except NumericError as err:
-            raise NumericError(f"iteration {iteration}: {err}") from err
-        del rollout, grads  # free them before the next loss
-        sampler.log.append(
-            IterationLog(
-                iteration=iteration,
-                mean_loss=mean_loss,
-                best_reward=best_reward,
-                best_m_est=best.m_est,
-                best_colors=best.color_count,
-            )
-        )
+    overlap = _available_cores() > 1 and config.accumulation_period > 1 and config.iterations > 1
+    with _PinnedPool(1 if overlap else 0) as helper:  # its exit waits for a rollout in flight
+        # _sample_batch makes each kept rollout, at its first use, after its size checks
+        rollouts = [None] * (1 if helper is None else 2)
+        ahead = None
+        for iteration in range(config.iterations):
+            slot = iteration % len(rollouts)
+            try:
+                if ahead is None:
+                    rollouts[slot], _ = _sample_batch(net, mdp, batch, rng, record=True, rollout=rollouts[slot])
+                else:
+                    rollouts[slot], _ = ahead.result()
+                rollout = rollouts[slot]
+                rewards = sampler._record(rollout.assignments, iteration)
+                best, best_reward = sampler.best, sampler.best_reward
+                accumulates_only = adam.accum_count + 1 < adam.accumulation_period
+                ahead = None
+                if helper is not None and accumulates_only and iteration + 1 < config.iterations:
+                    ahead = helper.submit(
+                        _sample_batch, net, mdp, batch, rng, record=True, rollout=rollouts[1 - slot])
+                mean_loss, grads, rows0 = flow_matching_loss(
+                    net, mdp, rollout.actions, rollout.masks, rewards, rollout.log_flows, rollout.hidden
+                )
+                if adam_accumulate_and_step(adam, net.parameters(), grads, rows0):
+                    check_finite(net, f"iteration {iteration}")
+            except NumericError as err:
+                raise NumericError(f"iteration {iteration}: {err}") from err
+            del grads  # free it before the next loss
+            sampler.log.append(IterationLog(iteration=iteration, mean_loss=mean_loss, best_reward=best_reward,
+                                            best_m_est=best.m_est, best_colors=best.color_count))
+    return sampler
 
 
 def training_log_csv(log: list[IterationLog]) -> str:

@@ -22,10 +22,13 @@ forms of code the package now does faster: activations rebuilt from actions
 array (the loss returns only the rows it touches), the Adam update with
 dense temporaries (the package's runs in place, block by block), greedy
 coloring with a Python set per vertex (the package's uses a blocked-color
-matrix), masks that read every later neighbor's blocked colors and per-row
-W0 gathers (the package's count blocked colors and add rows of a per-step
-delta table), and one row's m_est and reward (the package's take a whole
-batch in one bincount). flow_matching_loss_and_delta exposes the layer-1
+matrix), masks that read every later neighbor's blocked colors (the
+package's count blocked colors), and one row's m_est and reward (the
+package's take a whole batch in one bincount). The reference rollout adds
+the package's own per-row layer-1 step, _l1_step; what checks that update
+independently is rollout_activations, which rebuilds every state's
+preactivation from all of a trajectory's steps at once, and the tests that
+compare the rollout's logits and recorded activations with dense_forward. flow_matching_loss_and_delta exposes the layer-1
 gradient that input_layer_grad_dense needs. one_norm is the sum of a
 Hamiltonian's |coefficient|s, which no package code needs.
 """
@@ -372,8 +375,9 @@ def greedy_color_reference(g, strategy: str, seed: int = 0) -> np.ndarray:
 
 class ReferenceRollout(gflownet._BatchRollout):
     """_BatchRollout with the feasibility check summing every later neighbor's
-    (B, cap) blocked row, forced colors found with Python sets, and layer-1
-    updates gathered per row."""
+    (B, cap) blocked row and forced colors found with Python sets. Its
+    layer-1 update is the package's _l1_step, which rollout_activations and
+    the dense_forward tests check (see the module docstring)."""
 
     def start(self, lo, hi):
         super().start(lo, hi)

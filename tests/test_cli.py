@@ -158,6 +158,7 @@ BAD_INPUTS = {
     "mask-extra-too-large": (["group", "--input", H2, "--mode", "fc", "--method", "gflownet", "--mask-extra", "1000000000000"], "--mask-extra 1000000000000,"),
     "mask-extra-beyond-intp": (["group", "--input", H2, "--mode", "fc", "--method", "gflownet", "--mask-extra", "1000000000000000"], "--mask-extra 1000000000000000,"),
     "traj-per-iter-too-large": (["group", "--input", H2, "--mode", "fc", "--method", "gflownet", "--traj-per-iter", "10000000000000"], "--traj-per-iter 10000000000000:"),
+    "traj-per-iter-beyond-intp": (["group", "--input", H2, "--mode", "fc", "--method", "gflownet", "--traj-per-iter", "100000000000000000"], "--traj-per-iter 100000000000000000:"),
     "exact-on-h4": (["group", "--input", H4, "--mode", "fc", "--method", "exact"], "exact-search limit"),
     "compare-exact-on-h4": (["compare", "--input", H4, "--mode", "fc", "--methods", "full,exact"], "exact-search limit"),
     "histogram-ham-as-checkpoint": (["histogram", "--checkpoint", H2, "--samples", "5"], "not a checkpoint"),
@@ -348,6 +349,17 @@ def test_python_m_pauliflow_runs_the_cli():
     assert done.returncode == 2
     assert done.stdout == ""
     assert done.stderr.startswith("error: ") and "epsilon" in done.stderr
+
+
+def test_importing_the_cli_loads_no_thread_pool():
+    """concurrent.futures is imported only by a call that starts a thread,
+    so it adds nothing to the set-up time of every command."""
+    src = str(Path(pauliflow.__file__).resolve().parents[1])
+    code = "import sys, pauliflow.cli; print('concurrent.futures' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 def test_reward_is_checked_at_the_runs_lambda0(capsys, tmp_path):

@@ -549,18 +549,28 @@ class TestBlockedRollout:
             forced |= bool((blocked.assignments > mdp.color_cap).any())
         assert forced or batch < 2 * self.BLOCK  # forced colors are rolled out too
 
-    @pytest.mark.parametrize("cores, rows", [(1, [200] * 3), (2, [120] * 5), (4, [120] * 5)])
-    def test_pooled_blocks_hold_half_the_rows(self, monkeypatch, cores, rows):
-        """Blocks rolled one at a time hold up to ROLLOUT_BLOCK_ROWS rows, and
-        pooled blocks half that on any core count, never under 52 rows."""
+    @pytest.mark.parametrize("cores", [1, 2, 4])
+    def test_blocks_are_the_same_on_any_core_count(self, monkeypatch, cores):
+        """A batch rolls in near-equal blocks of at most ROLLOUT_BLOCK_ROWS
+        rows, inline or pooled, on any core count. A batch of several
+        blocks holds at least 52 rows in each, the rows below which OpenBLAS
+        rounds a row of the logits differently."""
         spans = []
         monkeypatch.setattr(gflownet, "_available_cores", lambda: cores)
-        monkeypatch.setattr(gflownet, "_roll_block", lambda rollout, u, lo, hi: spans.append(hi - lo))
+        monkeypatch.setattr(gflownet, "_roll_block", lambda rollout, u, lo, hi: spans.append((lo, hi)))
         g = random_graph(12, 0.5, 0)
         mdp = ColoringMDP(g, greedy_color(g, "random_sequential", seed=0).max_color)
         net = DenseNet.initialize([mdp.encoding_dim, 6, mdp.color_cap], seed=0)
-        _sample_batch(net, mdp, 600, np.random.Generator(np.random.PCG64(0)))
-        assert sorted(spans) == rows
+        block = gflownet.ROLLOUT_BLOCK_ROWS
+        assert block == 128
+        for batch, rows in [(1, [1]), (128, [128]), (129, [64, 65]), (256, [128] * 2), (600, [120] * 5),
+                            (2048, [128] * 16)]:
+            spans.clear()
+            _sample_batch(net, mdp, batch, np.random.Generator(np.random.PCG64(0)))
+            spans.sort()
+            assert [hi - lo for lo, hi in spans] == rows
+            assert [lo for lo, _ in spans[1:]] == [hi for _, hi in spans[:-1]] and spans[-1][1] == batch
+            assert max(rows) <= block and (len(rows) == 1 or min(rows) >= 52)
 
     def test_one_block_or_one_core_starts_no_thread(self, monkeypatch):
         """On one core, or where no BLAS thread-count setter is found,
@@ -605,10 +615,28 @@ class TestBlockedRollout:
         assert pools == [1] and len(started) == 1
         assert threading.active_count() == threads
 
+    def test_a_kept_rollout_rolls_again_on_any_core_count(self, monkeypatch, frequent_thread_switches):
+        """A rollout given back to _sample_batch, rolled inline or pooled
+        before, gives the rows and records of a new one: the pool's copies
+        do not share its block state."""
+        g = random_graph(30, 0.3, 2)
+        mdp = ColoringMDP(g, greedy_color(g, "random_sequential", seed=2).max_color)
+        net = DenseNet.initialize([mdp.encoding_dim, 6, mdp.color_cap], seed=2)
+        batch = 3 * gflownet.ROLLOUT_BLOCK_ROWS
+        kept = None
+        for seed, cores in enumerate([1, 2, 1, 4]):
+            monkeypatch.setattr(gflownet, "_available_cores", lambda: cores)
+            kept, _ = _sample_batch(net, mdp, batch, np.random.Generator(np.random.PCG64(seed)), True, kept)
+            new, _ = _sample_batch(net, mdp, batch, np.random.Generator(np.random.PCG64(seed)), True)
+            for name in ("assignments", "actions", "masks", "log_flows"):
+                assert np.array_equal(getattr(kept, name), getattr(new, name)), name
+            for a, b in zip(kept.hidden, new.hidden, strict=True):
+                assert np.array_equal(a, b)
+
     def test_error_in_a_block_propagates_and_stops_the_pool(self, monkeypatch):
         """An exception in one block of a pooled rollout leaves _sample_batch
         and sample(), and the pool's threads are gone when it does."""
-        monkeypatch.setattr(gflownet, "ROLLOUT_BLOCK_ROWS", 16)  # pooled blocks of 8 rows
+        monkeypatch.setattr(gflownet, "ROLLOUT_BLOCK_ROWS", 8)  # 5 blocks of 8 rows
         monkeypatch.setattr(gflownet, "_available_cores", lambda: 2)
         apply = _BatchRollout.apply
 
@@ -659,7 +687,7 @@ class TestBlockedRollout:
         than one float per extra row and layer-1 unit: the rows' outputs
         (assignments, uniforms, m_est and the returned list) are far smaller,
         and any full-batch (rows, h1) rollout state would exceed it alone.
-        Two cores hold two pooled blocks of 32 rows in flight, whatever the
+        Two cores hold two pooled blocks of 64 rows in flight, whatever the
         machine; each core adds a block."""
         monkeypatch.setattr(gflownet, "ROLLOUT_BLOCK_ROWS", 64)
         monkeypatch.setattr(gflownet, "_available_cores", lambda: 2)
@@ -1055,6 +1083,103 @@ def blas_threads():
     set_(saved)
 
 
+class TestPinnedPool:
+    """_PinnedPool gives an executor with OpenBLAS at one thread, and pools
+    open at once share one pin, which the last of them to exit lifts."""
+
+    def test_no_workers_or_no_setter_gives_no_executor(self, monkeypatch, blas_threads):
+        with gflownet._PinnedPool(0) as pool:
+            assert pool is None and blas_threads() == 2
+        monkeypatch.setattr(gflownet, "_openblas_thread_control", lambda: None)
+        with gflownet._PinnedPool(2) as pool:
+            assert pool is None and blas_threads() == 2
+
+    def test_pins_of_two_threads_restore_the_count(self, blas_threads):
+        """Thread a enters, then b, then a exits, then b: the count is one
+        until b exits and is then restored, which restoring the count each
+        pin saw on entry would not do (b saw one)."""
+        a_in, b_in, a_out = threading.Event(), threading.Event(), threading.Event()
+        seen = []
+
+        def a():
+            with gflownet._PinnedPool(1):
+                a_in.set()
+                b_in.wait(5.0)
+            a_out.set()
+
+        def b():
+            a_in.wait(5.0)
+            with gflownet._PinnedPool(1):
+                b_in.set()
+                a_out.wait(5.0)
+                seen.append(blas_threads())
+            seen.append(blas_threads())
+
+        threads = [threading.Thread(target=a), threading.Thread(target=b)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(10.0)
+        assert not any(thread.is_alive() for thread in threads)
+        assert a_out.is_set() and seen == [1, 2]
+
+    def test_many_threads_pinning_at_once_restore_the_count(self, frequent_thread_switches, blas_threads):
+        """More threads than cores open and close pools at once, under
+        frequent thread switches: each reads one thread while it holds a
+        pool, and the count is restored after the last, which restoring the
+        count each pool saw on entry would not do. The threads' lookups of
+        the setter also end: walking the loaded libraries with a Python
+        callback (dl_iterate_phdr) deadlocked with another thread's dlopen."""
+        seen = []
+
+        def pin_often():
+            for _ in range(20):
+                with gflownet._PinnedPool(1):
+                    seen.append(blas_threads())
+                    time.sleep(0.001)  # holds overlap, and exit in another order than they entered
+
+        threads = [threading.Thread(target=pin_often) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(30.0)
+        assert not any(thread.is_alive() for thread in threads)
+        assert seen == [1] * 160 and blas_threads() == 2
+
+    def test_nested_pools_hold_the_pin_until_the_outer_exits(self, blas_threads):
+        with gflownet._PinnedPool(1) as outer:
+            with gflownet._PinnedPool(2) as inner:
+                assert inner.submit(blas_threads).result() == 1
+            assert outer.submit(blas_threads).result() == 1
+        assert blas_threads() == 2
+        with pytest.raises(RuntimeError, match="inner"):
+            with gflownet._PinnedPool(1):
+                with gflownet._PinnedPool(1):
+                    raise RuntimeError("inner")
+        assert blas_threads() == 2
+
+    def test_helper_rollouts_of_several_blocks_give_the_inline_results(self, monkeypatch, blas_threads):
+        """A training batch of three blocks, rolled on the helper thread by a
+        pool nested in train()'s, rolls at one BLAS thread and gives the
+        results of one core; the count is restored after train()."""
+        h = load_hamiltonian(bundled_path("h2_sto3g_1A_jw.ham"))
+        config = TrainConfig(iterations=5, hidden_sizes=(8,), accumulation_period=3,
+                             trajectories_per_iteration=3 * gflownet.ROLLOUT_BLOCK_ROWS)
+        counts, roll_block, runs = [], gflownet._roll_block, {}
+
+        def spy(rollout, u, lo, hi):
+            counts.append(blas_threads())
+            roll_block(rollout, u, lo, hi)
+
+        monkeypatch.setattr(gflownet, "_roll_block", spy)
+        for cores in (1, 2):
+            monkeypatch.setattr(gflownet, "_available_cores", lambda: cores)
+            sampler = train(h, config)
+            runs[cores] = [p.tobytes() for p in sampler.net.parameters()], training_log_csv(sampler.log)
+        assert runs[1] == runs[2]
+        assert counts == [2] * 15 + [1] * 15 and blas_threads() == 2
+
+
 class TestTrainingOverlap:
     """On several cores train() rolls iteration i+1's batch on a helper
     thread while iteration i's loss runs, wherever iteration i does not step
@@ -1126,6 +1251,25 @@ class TestTrainingOverlap:
         assert threading.active_count() == threads
         assert blas_threads() == 2
 
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_training_keeps_at_most_two_rollouts(self, monkeypatch, cores):
+        """train() makes one recording rollout inline, two where it overlaps,
+        however many iterations it runs, and rolls every batch into them."""
+        made = []
+
+        class Counted(_BatchRollout):
+            def __init__(self, *args, **kwargs):
+                made.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(gflownet, "_BatchRollout", Counted)
+        monkeypatch.setattr(gflownet, "_available_cores", lambda: cores)
+        h = load_hamiltonian(bundled_path("h2_sto3g_1A_jw.ham"))
+        train(h, TrainConfig(iterations=12, hidden_sizes=(8,), accumulation_period=4))
+        pinned = cores > 1 and gflownet._openblas_thread_control() is not None
+        assert len(made) == (2 if pinned else 1)
+        assert all(rollout.log_flows is not None for rollout in made)
+
     def test_blas_count_is_restored(self, monkeypatch, blas_threads):
         """Overlapped training and pooled sampling roll at one BLAS thread, and
         the count is restored after them, also when a block raises."""
@@ -1143,7 +1287,7 @@ class TestTrainingOverlap:
         assert counts == [1, 1, 1] and blas_threads() == 2
         counts.clear()
         sampler.sample(2 * gflownet.ROLLOUT_BLOCK_ROWS)
-        assert counts == [1] * 4 and blas_threads() == 2
+        assert counts == [1] * 2 and blas_threads() == 2
 
         def fail(rollout, u, lo, hi):
             raise RuntimeError("block")
