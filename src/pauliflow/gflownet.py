@@ -9,17 +9,18 @@ against the total outgoing flow (or the terminal reward).
 The lockstep batch rollout, _BatchRollout, is the only implementation of
 this MDP: train(), TrainedSampler.sample() and so the histogram command all
 run it, its step_masks is the one action mask, and its docstring gives what
-a step costs. A batch rolls out in near-equal blocks of at most
-ROLLOUT_BLOCK_ROWS rows, one block in flight per core, so sampling holds
-the assignment rows and uniforms plus a block per core, however many rows
-it asks for; each block draws from its own slice of uniforms drawn up
-front, so the rows do not depend on the core count. Every threaded call
-runs in one context, _PinnedPool, which pins numpy's OpenBLAS to one thread
-and gives an executor: the blocks of a batch roll on a pool of one thread
-per core, and train() rolls the next iteration's batch on one helper thread
-while the current iteration's loss runs, wherever that loss leaves the
-parameters as they are. On one core, for a single block, or where no way to
-pin OpenBLAS is found, the call runs on the caller's thread alone.
+a step costs. Every batch rolls into a new _BatchRollout, in near-equal
+blocks of at most ROLLOUT_BLOCK_ROWS rows, one block in flight per core, so
+sampling holds the assignment rows and uniforms plus a block per core,
+however many rows it asks for. The blocks depend on the batch size alone,
+and each draws from its own slice of uniforms drawn up front, so the rows
+do not depend on the core count. Every threaded call runs in one context,
+_PinnedPool, which pins numpy's OpenBLAS to one thread and gives an
+executor: the blocks of a batch roll on a pool of one thread per core, and
+train() rolls the next iteration's batch on one helper thread while the
+current iteration's loss runs, wherever that loss leaves the parameters as
+they are. On one core, for a single block, or where no way to pin OpenBLAS
+is found, the call runs on the caller's thread alone.
 measurement.batch_metrics gives every finished row's m_est and reward.
 
 Actions are colors 1..color_cap. The action mask enforces, in order:
@@ -56,7 +57,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import CompatGraph, Coloring, build_complement_graph, greedy_color, validate_coloring
+from .graphs import (
+    CompatGraph,
+    Coloring,
+    _degree_key,
+    build_complement_graph,
+    greedy_color,
+    validate_coloring,
+)
 from .hamio import dump_hamiltonian, loads_hamiltonian
 from .measurement import MeasurementConfig, batch_metrics
 from .nn import (
@@ -73,8 +81,8 @@ from .pauli import QubitHamiltonian
 
 # The most rows rolled out at a time, inline or on a pool thread: one block's
 # per-row state and (rows, h) forward temporaries stay in cache, and do not
-# grow with the sample count. The near-equal blocks of a larger batch hold at
-# least 64 rows, above the 52 below which OpenBLAS rounds a row differently.
+# grow with the sample count. A batch's blocks depend on its size alone, not
+# on the core count, so changing this can change the bits of a large batch.
 ROLLOUT_BLOCK_ROWS = 128
 
 
@@ -90,11 +98,8 @@ class ColoringMDP:
             raise ValueError(f"color_cap must be >= 1, got {color_cap}")
         self.graph = graph
         self.color_cap = color_cap
-        degrees = graph.degrees()
         n = graph.n_vertices
-        self.vertex_order = np.array(
-            sorted(range(n), key=lambda v: (-int(degrees[v]), v)), dtype=np.int64
-        )
+        self.vertex_order = np.argsort(-_degree_key(graph))  # the keys are distinct
         self.order_position = np.empty(n, dtype=np.int64)
         self.order_position[self.vertex_order] = np.arange(n)
         # neighbors of the vertex colored at step k, split by coloring time
@@ -224,15 +229,14 @@ def flow_matching_loss(
 class _BatchRollout:
     """Lockstep sampler: every trajectory colors vertex order[k] at step k.
 
-    The rows roll out block by block: start(lo, hi) gives rows lo..hi-1 fresh
+    The rows roll out block by block: start(lo, hi) gives rows lo..hi-1 new
     per-row state, and step_masks, logits and apply then act on those rows.
     That state (rows, blocked, blocked_counts, max_colors, l1_pre) is the
     only state a step changes besides its rows of the batch arrays, so
-    shallow copies of one rollout, each with its own block state, can roll
-    disjoint blocks at once. A rollout allocates the block state at its
-    first start() and resets it in place at later ones, so one that rolls
-    block after block (the batch inline, a pool worker's copy, or training's
-    kept rollouts, batch after batch) holds one block state.
+    shallow copies of one rollout can roll disjoint blocks at once. start()
+    drops the last block's state before it allocates the next, so a rollout
+    that rolls block after block (the batch inline, or a pool worker's copy)
+    holds one block state at a time.
 
     Layer-1 preactivations are maintained incrementally per row, since one
     step changes a single vertex slot and the cursor in the encoding: a step
@@ -253,9 +257,7 @@ class _BatchRollout:
     With record=True, the action slots (B, n), the masks (B, n, cap) and each
     step's log-flows and hidden activations are kept for the loss, their only
     reader (B * n_vertices rows per layer, so sampling does not record).
-    Every step writes its column of every row of these arrays and of the
-    assignments, so a rollout can roll batch after batch with no reset:
-    training keeps its recording rollouts across iterations (train).
+    A rollout rolls one batch: every _sample_batch call makes a new one.
     """
 
     def __init__(self, net: DenseNet, mdp: ColoringMDP, batch: int, record: bool = False):
@@ -270,29 +272,18 @@ class _BatchRollout:
             self.masks = np.empty((batch, n, cap), dtype=bool)
             self.log_flows = np.empty((batch, n, cap))
             self.hidden = [np.empty((batch, n, size)) for size in net.layer_sizes[1:-1]]
-        self.block_state = None  # (blocked, blocked_counts, max_colors, l1_pre) at their largest block
 
     def start(self, lo: int, hi: int) -> None:
-        """Roll rows lo..hi-1 next, from the initial state. The block state
-        is reset in place, and grows only for a block larger than any before
-        it (near-equal blocks differ by one row)."""
+        """Roll rows lo..hi-1 next, from the initial state, on block state
+        allocated once the last block's is dropped."""
         mdp, rows = self.mdp, hi - lo
         n = mdp.n_vertices
-        if self.block_state is None or len(self.block_state[2]) < rows:
-            self.block_state = (
-                np.empty((n, rows, mdp.color_bound), dtype=bool),
-                np.empty((n, rows), dtype=np.min_scalar_type(mdp.color_cap)),
-                np.empty(rows, dtype=np.int64),
-                np.empty((rows, self.net.layer_sizes[1])),
-            )
-        blocked, counts, max_colors, l1_pre = self.block_state
+        self.blocked = self.blocked_counts = self.max_colors = self.l1_pre = None
         self.rows = slice(lo, hi)
-        self.blocked, self.blocked_counts = blocked[:, :rows], counts[:, :rows]
-        self.max_colors, self.l1_pre = max_colors[:rows], l1_pre[:rows]
-        self.blocked[...] = False
-        self.blocked_counts[...] = 0
-        self.max_colors[...] = 0
-        self.l1_pre[...] = _l1_start(self.net, mdp)
+        self.blocked = np.zeros((n, rows, mdp.color_bound), dtype=bool)
+        self.blocked_counts = np.zeros((n, rows), dtype=np.min_scalar_type(mdp.color_cap))
+        self.max_colors = np.zeros(rows, dtype=np.int64)
+        self.l1_pre = np.tile(_l1_start(self.net, mdp), (rows, 1))
 
     def step_masks(self, k: int) -> np.ndarray:
         mdp = self.mdp
@@ -448,31 +439,29 @@ def _roll_block(rollout: _BatchRollout, u: np.ndarray, lo: int, hi: int) -> None
 
 
 def _sample_batch(
-    net: DenseNet, mdp: ColoringMDP, batch: int, rng: np.random.Generator, record: bool = False,
-    rollout: _BatchRollout | None = None,
+    net: DenseNet, mdp: ColoringMDP, batch: int, rng: np.random.Generator, record: bool = False
 ) -> tuple[_BatchRollout, int]:
     """Roll a lockstep batch, drawing each step's action from the softmax of
     the log-flows over the legal slots. Returns the rollout and 0, the number
     of restarts: no mask is empty, so no trajectory is re-rolled (perfbench
     reads the count). With record set the rollout keeps what the loss reads
-    (see _BatchRollout). The batch rolls into `rollout` where one is given,
-    an earlier call's return with this net, mdp, batch and record.
+    (see _BatchRollout).
 
     One call draws every uniform, u (n, batch), step-major, so u[k] holds
     what rng.random(batch) at step k would give; a batch whose uniforms do
     not fit raises MemoryError before any draw or allocation. The rows then
-    roll out in near-equal blocks of at most ROLLOUT_BLOCK_ROWS, with the
-    samples of one batch: a batch of several blocks keeps at least 64 rows
-    in each, above the 52 rows below which OpenBLAS rounds a row of the
-    logits differently (gemv for one row), so the block size and the core
-    count do not change the bits. A draw is clipped to the row's legal
-    slots: u == 0 would pick slot 0, and u times the (pairwise) sum of the
-    flows can pass their (sequential) cumulative sum.
+    roll out in near-equal blocks of at most ROLLOUT_BLOCK_ROWS. The blocks
+    depend on the batch size alone, so the core count does not change the
+    bits. The block size can: OpenBLAS may round a row of a product
+    differently among other rows, so the same rows rolled in other blocks
+    can give log-flows that differ in the last bit. A draw is clipped to
+    the row's legal slots: u == 0 would pick slot 0, and u times the
+    (pairwise) sum of the flows can pass their (sequential) cumulative sum.
 
     A batch of several blocks on several cores rolls on a _PinnedPool of
     one thread per core (at most one per block). Each thread rolls every so
     many blocks, interleaved, on its own shallow copy of the rollout, which
-    holds one block state for them and writes only those blocks' rows of
+    holds one block state at a time and writes only those blocks' rows of
     the shared arrays; numpy releases the interpreter lock in the matrix
     products and tanh that dominate a step. A single block (every training
     batch of the paper's recipe), a single core, or an OpenBLAS whose thread
@@ -480,8 +469,7 @@ def _sample_batch(
     """
     check_addressable((mdp.n_vertices, batch))
     u = rng.random((mdp.n_vertices, batch))
-    if rollout is None:
-        rollout = _BatchRollout(net, mdp, batch, record)
+    rollout = _BatchRollout(net, mdp, batch, record)
     blocks = -(-batch // ROLLOUT_BLOCK_ROWS)
     edges = [batch * i // blocks for i in range(blocks + 1)]
     spans = list(zip(edges[:-1], edges[1:]))
@@ -489,7 +477,6 @@ def _sample_batch(
 
     def roll(w: int) -> None:  # every workers-th block from w, on a copy with its own block state
         mine = copy.copy(rollout)
-        mine.block_state = None
         for lo, hi in spans[w::workers]:
             _roll_block(mine, u, lo, hi)
 
@@ -694,12 +681,12 @@ def train(h: QubitHamiltonian, config: TrainConfig | None = None) -> TrainedSamp
     (_PinnedPool), right after recording its own rows, and then runs its
     loss and Adam's accumulation: the rollout reads the parameters that the
     loss reads, and rollouts alone draw from the rng, in iteration order, so
-    the results are those of the iterations run one after another. Training
-    keeps its recording rollouts, one inline or two where it overlaps, and
-    rolls iteration i into rollouts[i % len(rollouts)], so a rollout handed
-    ahead never writes what the running loss reads. On one core, or where
-    OpenBLAS's thread count cannot be set, every iteration runs on the
-    caller's thread. No thread outlives the call, also when it raises.
+    the results are those of the iterations run one after another. Each
+    iteration's batch rolls into a new recording rollout, which train()
+    drops once its loss has run, so no more than one rollout is alive
+    inline and two where it overlaps. On one core, or where OpenBLAS's
+    thread count cannot be set, every iteration runs on the caller's
+    thread. No thread outlives the call, also when it raises.
     """
     if config is None:
         config = TrainConfig()
@@ -718,27 +705,23 @@ def train(h: QubitHamiltonian, config: TrainConfig | None = None) -> TrainedSamp
     batch = config.trajectories_per_iteration
     overlap = _available_cores() > 1 and config.accumulation_period > 1 and config.iterations > 1
     with _PinnedPool(1 if overlap else 0) as helper:  # its exit waits for a rollout in flight
-        # _sample_batch makes each kept rollout, at its first use, after its size checks
-        rollouts = [None] * (1 if helper is None else 2)
         ahead = None
         for iteration in range(config.iterations):
-            slot = iteration % len(rollouts)
             try:
                 if ahead is None:
-                    rollouts[slot], _ = _sample_batch(net, mdp, batch, rng, record=True, rollout=rollouts[slot])
+                    rollout, _ = _sample_batch(net, mdp, batch, rng, record=True)
                 else:
-                    rollouts[slot], _ = ahead.result()
-                rollout = rollouts[slot]
+                    rollout, _ = ahead.result()
                 rewards = sampler._record(rollout.assignments, iteration)
                 best, best_reward = sampler.best, sampler.best_reward
                 accumulates_only = adam.accum_count + 1 < adam.accumulation_period
                 ahead = None
                 if helper is not None and accumulates_only and iteration + 1 < config.iterations:
-                    ahead = helper.submit(
-                        _sample_batch, net, mdp, batch, rng, record=True, rollout=rollouts[1 - slot])
+                    ahead = helper.submit(_sample_batch, net, mdp, batch, rng, record=True)
                 mean_loss, grads, rows0 = flow_matching_loss(
                     net, mdp, rollout.actions, rollout.masks, rewards, rollout.log_flows, rollout.hidden
                 )
+                del rollout  # free it before the next rollout, which may be rolling already
                 if adam_accumulate_and_step(adam, net.parameters(), grads, rows0):
                     check_finite(net, f"iteration {iteration}")
             except NumericError as err:
