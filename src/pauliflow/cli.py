@@ -34,7 +34,7 @@ from .graphs import (
 # perfbench's tracer wraps this name (graphs.grouping_ms), so it stays bound
 from .graphs import coloring_to_grouping  # noqa: F401
 from .hamio import HamiltonianParseError, load_hamiltonian
-from .measurement import MeasurementConfig, batch_metrics, estimate_measurements
+from .measurement import MeasurementConfig, check_metrics_finite, estimate_measurements
 from .nn import NumericError
 
 REPORT_SCHEMA_VERSION = 1
@@ -118,11 +118,9 @@ def _check_output_dirs(*paths: str | None) -> None:
 
 def _load_input(path: str, epsilon: float, lambda0: float = math.ulp(0.0)):
     """The Hamiltonian in path, if it has terms and a finite m_est and reward
-    at epsilon and lambda0 for every grouping. Since sqrt is subadditive,
-    every m_est lies between the all-in-one-group row's, which gives the
-    largest reward, and the one-term-per-group row's; those two rows are
-    checked. The default lambda0, for a command with no reward, is the
-    smallest, which rejects only an m_est of 0."""
+    at epsilon and lambda0 for every grouping (check_metrics_finite). The
+    default lambda0, for a command with no reward, is the smallest, which
+    rejects only an m_est of 0."""
     try:
         h = load_hamiltonian(path)
     except FileNotFoundError as err:
@@ -132,8 +130,7 @@ def _load_input(path: str, epsilon: float, lambda0: float = math.ulp(0.0)):
     if h.n_terms == 0:
         raise CliInputError(f"{path}: no groupable terms")
     try:
-        rows = np.stack([np.arange(1, h.n_terms + 1), np.ones(h.n_terms, np.int64)])
-        batch_metrics(h, rows, MeasurementConfig(epsilon=epsilon, lambda0=lambda0))
+        check_metrics_finite(h, MeasurementConfig(epsilon=epsilon, lambda0=lambda0))
     except ValueError as err:
         raise CliInputError(f"{path}: {err}") from err
     return h

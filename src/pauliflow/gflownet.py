@@ -10,17 +10,18 @@ The lockstep batch rollout, _BatchRollout, is the only implementation of
 this MDP: train(), TrainedSampler.sample() and so the histogram command all
 run it, its step_masks is the one action mask, and its docstring gives what
 a step costs. Every batch rolls into a new _BatchRollout, in near-equal
-blocks of at most ROLLOUT_BLOCK_ROWS rows, one block in flight per core, so
-sampling holds the assignment rows and uniforms plus a block per core,
-however many rows it asks for. The blocks depend on the batch size alone,
-and each draws from its own slice of uniforms drawn up front, so the rows
-do not depend on the core count. Every threaded call runs in one context,
-_PinnedPool, which pins numpy's OpenBLAS to one thread and gives an
-executor: the blocks of a batch roll on a pool of one thread per core, and
-train() rolls the next iteration's batch on one helper thread while the
-current iteration's loss runs, wherever that loss leaves the parameters as
-they are. On one core, for a single block, or where no way to pin OpenBLAS
-is found, the call runs on the caller's thread alone.
+blocks of at most ROLLOUT_BLOCK_ROWS rows, each on its own copy of the
+rollout that holds the block's state until the block ends, one block in
+flight per core, so sampling holds the assignment rows and uniforms plus a
+block per core, however many rows it asks for. The blocks depend on the
+batch size alone, and each draws from its own slice of uniforms drawn up
+front, so the rows do not depend on the core count. Every threaded call
+runs in one context, _PinnedPool, which pins numpy's OpenBLAS to one thread
+and gives an executor: the blocks of a batch roll on a pool of one thread
+per core, and train() rolls the next iteration's batch on one helper thread
+while the current iteration's loss runs, wherever that loss leaves the
+parameters as they are. On one core, for a single block, or where no way to
+pin OpenBLAS is found, the call runs on the caller's thread alone.
 measurement.batch_metrics gives every finished row's m_est and reward.
 
 Actions are colors 1..color_cap. The action mask enforces, in order:
@@ -66,7 +67,7 @@ from .graphs import (
     validate_coloring,
 )
 from .hamio import dump_hamiltonian, loads_hamiltonian
-from .measurement import MeasurementConfig, batch_metrics
+from .measurement import MeasurementConfig, as_real, batch_metrics, check_metrics_finite
 from .nn import (
     AdamState,
     DenseNet,
@@ -229,14 +230,13 @@ def flow_matching_loss(
 class _BatchRollout:
     """Lockstep sampler: every trajectory colors vertex order[k] at step k.
 
-    The rows roll out block by block: start(lo, hi) gives rows lo..hi-1 new
-    per-row state, and step_masks, logits and apply then act on those rows.
-    That state (rows, blocked, blocked_counts, max_colors, l1_pre) is the
-    only state a step changes besides its rows of the batch arrays, so
-    shallow copies of one rollout can roll disjoint blocks at once. start()
-    drops the last block's state before it allocates the next, so a rollout
-    that rolls block after block (the batch inline, or a pool worker's copy)
-    holds one block state at a time.
+    The rows roll out block by block, each on its own shallow copy of the
+    rollout (_roll_block): start(lo, hi) gives the copy rows lo..hi-1 and
+    their per-row state, and step_masks, logits and apply then act on those
+    rows. That state (rows, blocked, blocked_counts, max_colors, l1_pre) is
+    the only state a step changes besides its rows of the batch arrays, so
+    copies can roll disjoint blocks at once, and the rollout itself holds
+    the batch arrays alone.
 
     Layer-1 preactivations are maintained incrementally per row, since one
     step changes a single vertex slot and the cursor in the encoding: a step
@@ -274,11 +274,9 @@ class _BatchRollout:
             self.hidden = [np.empty((batch, n, size)) for size in net.layer_sizes[1:-1]]
 
     def start(self, lo: int, hi: int) -> None:
-        """Roll rows lo..hi-1 next, from the initial state, on block state
-        allocated once the last block's is dropped."""
+        """Roll rows lo..hi-1 from the initial state, on new block state."""
         mdp, rows = self.mdp, hi - lo
         n = mdp.n_vertices
-        self.blocked = self.blocked_counts = self.max_colors = self.l1_pre = None
         self.rows = slice(lo, hi)
         self.blocked = np.zeros((n, rows, mdp.color_bound), dtype=bool)
         self.blocked_counts = np.zeros((n, rows), dtype=np.min_scalar_type(mdp.color_cap))
@@ -423,9 +421,10 @@ class _PinnedPool:
 
 
 def _roll_block(rollout: _BatchRollout, u: np.ndarray, lo: int, hi: int) -> None:
-    """Roll rows lo..hi-1 of `rollout` to the end, drawing step k's actions
-    with the uniforms u[k, lo:hi]."""
+    """Roll rows lo..hi-1 of `rollout` to the end on a shallow copy of it,
+    dropped on return, drawing step k's actions with the uniforms u[k, lo:hi]."""
     n, cap = rollout.mdp.n_vertices, rollout.mdp.color_cap
+    rollout = copy.copy(rollout)
     rollout.start(lo, hi)
     for k in range(n):
         mask = rollout.step_masks(k)
@@ -458,14 +457,14 @@ def _sample_batch(
     the row's legal slots: u == 0 would pick slot 0, and u times the
     (pairwise) sum of the flows can pass their (sequential) cumulative sum.
 
-    A batch of several blocks on several cores rolls on a _PinnedPool of
-    one thread per core (at most one per block). Each thread rolls every so
-    many blocks, interleaved, on its own shallow copy of the rollout, which
-    holds one block state at a time and writes only those blocks' rows of
-    the shared arrays; numpy releases the interpreter lock in the matrix
-    products and tanh that dominate a step. A single block (every training
-    batch of the paper's recipe), a single core, or an OpenBLAS whose thread
-    count cannot be set rolls inline, with no thread and no copy.
+    One loop maps _roll_block over the blocks, each of which rolls on its
+    own copy of the rollout and writes only its rows of the shared arrays.
+    A batch of several blocks on several cores maps them on a _PinnedPool of
+    one thread per core (at most one per block); numpy releases the
+    interpreter lock in the matrix products and tanh that dominate a step.
+    A single block (every training batch of the paper's recipe), a single
+    core, or an OpenBLAS whose thread count cannot be set maps them on the
+    caller's thread.
     """
     check_addressable((mdp.n_vertices, batch))
     u = rng.random((mdp.n_vertices, batch))
@@ -474,19 +473,10 @@ def _sample_batch(
     edges = [batch * i // blocks for i in range(blocks + 1)]
     spans = list(zip(edges[:-1], edges[1:]))
     workers = min(blocks, _available_cores())
-
-    def roll(w: int) -> None:  # every workers-th block from w, on a copy with its own block state
-        mine = copy.copy(rollout)
-        for lo, hi in spans[w::workers]:
-            _roll_block(mine, u, lo, hi)
-
     with _PinnedPool(workers if workers > 1 else 0) as pool:
-        if pool is None:
-            for lo, hi in spans:
-                _roll_block(rollout, u, lo, hi)
-        else:  # reading every result raises the first thread's error, if any
-            for _ in pool.map(roll, range(workers)):
-                pass
+        # reading every result raises the first block's error, if any
+        for _ in (map if pool is None else pool.map)(lambda span: _roll_block(rollout, u, *span), spans):
+            pass
     return rollout, 0
 
 
@@ -506,8 +496,6 @@ class TrainConfig:
         # as a checkpoint's JSON gives them, so that a loaded config equals the saved one
         if isinstance(self.hidden_sizes, list):
             self.hidden_sizes = tuple(self.hidden_sizes)
-        if isinstance(self.learning_rate, (int, np.integer)):
-            self.learning_rate = float(self.learning_rate)
         bounds = (("iterations", 1), ("trajectories_per_iteration", 1), ("seed", 0), ("mask_extra_colors", 0),
                   ("accumulation_period", 1))
         for name, least in bounds:
@@ -517,6 +505,7 @@ class TrainConfig:
             if value < least:
                 raise ValueError(f"{name} must be >= {least}, got {value}")
             setattr(self, name, int(value))  # save() writes JSON, which has no numpy ints
+        self.learning_rate = as_real("learning_rate", self.learning_rate)
         if not 0 < self.learning_rate < float("inf"):
             raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
         sizes = self.hidden_sizes
@@ -648,8 +637,9 @@ class TrainedSampler:
         color_cap = metadata["color_cap"]
         config = TrainConfig(
             **{key: metadata[key] for key in _METADATA_TYPES if key in TrainConfig.__dataclass_fields__},
-            measurement=MeasurementConfig(epsilon=float(metadata["epsilon"]), lambda0=float(metadata["lambda0"])),
+            measurement=MeasurementConfig(epsilon=metadata["epsilon"], lambda0=metadata["lambda0"]),
         )
+        check_metrics_finite(h, config.measurement)  # before any row is sampled
         mdp = ColoringMDP(build_complement_graph(h, config.mode), color_cap)
         if net.layer_sizes[0] != mdp.encoding_dim or net.layer_sizes[-1] != color_cap:
             raise ValueError(

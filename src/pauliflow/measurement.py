@@ -15,14 +15,16 @@ batch_metrics is the one implementation of both, for a batch of assignment
 rows (term j in group assignments[b, j]) at once: the sampler runs it on its
 rollouts, and estimate_measurements on one coloring's row.
 
-MeasurementConfig holds epsilon and lambda0, both positive and finite, with
-epsilon**2 and epsilon**-2 finite too. Large coefficients or a small epsilon
-can still overflow m_est, and a large lambda0 over a tiny m_est the reward;
-batch_metrics rejects both.
+MeasurementConfig holds epsilon and lambda0 as floats, both positive and
+finite, with epsilon**2 and epsilon**-2 finite too. Large coefficients or a
+small epsilon can still overflow m_est, and a large lambda0 over a tiny m_est
+the reward; batch_metrics rejects both, and check_metrics_finite checks a
+Hamiltonian's every grouping at once.
 """
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,15 +41,28 @@ class MeasurementConfig:
     lambda0: float = 1e6
 
     def __post_init__(self):
-        eps = float(self.epsilon)
+        eps, lambda0 = as_real("epsilon", self.epsilon), as_real("lambda0", self.lambda0)
+        object.__setattr__(self, "epsilon", eps)  # frozen
+        object.__setattr__(self, "lambda0", lambda0)
         try:  # m_est divides by epsilon**2, so neither it nor epsilon**-2 may overflow
             usable = 0 < eps < math.inf and math.isfinite(eps**2 + eps**-2)
         except OverflowError:
             usable = False
         if not usable:
             raise ValueError(f"epsilon, epsilon**2, epsilon**-2 must be positive and finite, got {eps}")
-        if not 0 < self.lambda0 < math.inf:
-            raise ValueError(f"lambda0 must be positive and finite, got {self.lambda0}")
+        if not 0 < lambda0 < math.inf:
+            raise ValueError(f"lambda0 must be positive and finite, got {lambda0}")
+
+
+def as_real(name: str, value) -> float:
+    """value as a float; ValueError for a bool or anything else that is not
+    a real number. An int past the largest float gives inf."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf
 
 
 def batch_metrics(
@@ -82,6 +97,14 @@ def batch_metrics(
         tiny = float(m_est.min())
         raise ValueError(f"reward overflows: lambda0 {cfg.lambda0} too large for m_est {tiny!r}")
     return m_est, rewards, colors
+
+
+def check_metrics_finite(h: QubitHamiltonian, cfg: MeasurementConfig) -> None:
+    """ValueError unless every grouping of h's terms has a finite m_est and
+    reward at cfg. Since sqrt is subadditive, every m_est lies between the
+    all-in-one-group row's, which gives the largest reward, and the
+    one-term-per-group row's, so batch_metrics checks those two rows."""
+    batch_metrics(h, np.stack([np.arange(1, h.n_terms + 1), np.ones(h.n_terms, np.int64)]), cfg)
 
 
 def estimate_measurements(

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -219,21 +220,28 @@ def save_checkpoint(path, net: DenseNet, metadata: dict | None = None) -> None:
 
 
 def load_checkpoint(path) -> tuple[DenseNet, dict]:
-    """Inverse of save_checkpoint; ValueError if an array it reads is missing.
-    Other arrays in the archive, such as an older writer's Adam state, are
-    not read."""
+    """Inverse of save_checkpoint. ValueError("not a pauliflow checkpoint:
+    ...") for a file that is no npz archive (empty, cut short, or one .npy
+    array), and for an archive that lacks an array the loader reads or whose
+    version is no scalar or whose layer_sizes are no vector. Other arrays in
+    the archive, such as an older writer's Adam state, are not read."""
     try:
-        with np.load(path, allow_pickle=False) as data:
-            version = int(data["version"])
-            if version != CHECKPOINT_VERSION:
-                raise ValueError(f"unsupported checkpoint version {version}")
-            layer_sizes = [int(s) for s in data["layer_sizes"]]
+        data = np.load(path, allow_pickle=False)
+        if not isinstance(data, np.lib.npyio.NpzFile):
+            raise ValueError("not a pauliflow checkpoint: one array, not an npz archive")
+        with data:
+            version, layer_sizes = data["version"], data["layer_sizes"]
+            if version.ndim != 0 or layer_sizes.ndim != 1:
+                raise ValueError(f"not a pauliflow checkpoint: version of shape {version.shape}, "
+                                 f"layer_sizes of shape {layer_sizes.shape}")
+            if int(version) != CHECKPOINT_VERSION:
+                raise ValueError(f"unsupported checkpoint version {int(version)}")
             n_layers = len(layer_sizes) - 1
             net = DenseNet(
                 [data[f"w{k}"] for k in range(n_layers)],
                 [data[f"b{k}"] for k in range(n_layers)],
             )
             metadata = json.loads(str(data["metadata"]))
-    except KeyError as err:  # np.load's archive names the array it lacks
+    except (KeyError, EOFError, zipfile.BadZipFile) as err:  # an array missing, or a file empty or cut short
         raise ValueError(f"not a pauliflow checkpoint: {err.args[0]}") from err
     return net, metadata

@@ -1,4 +1,5 @@
 import collections
+import io
 import json
 import math
 import os
@@ -132,6 +133,13 @@ class TestGroup:
         assert exc.value.code == 2
 
 
+def npy_bytes(array):
+    """The bytes of np.save(array)."""
+    buffer = io.BytesIO()
+    np.save(buffer, array)
+    return buffer.getvalue()
+
+
 BAD_INPUTS = {
     "epsilon-0": (["group", "--input", H2, "--mode", "fc", "--method", "full", "--epsilon", "0"], "epsilon"),
     # an epsilon whose m_est is 0, NaN or infinite is rejected whatever the method
@@ -181,6 +189,14 @@ BAD_INPUTS = {
     "histogram-learning-rate-negative": (["histogram", "--checkpoint", "NEGATIVE_LEARNING_RATE", "--samples", "5"], "is not a checkpoint: learning_rate must be positive and finite, got -0.001"),
     "histogram-accumulation-period-0": (["histogram", "--checkpoint", "ZERO_ACCUMULATION_PERIOD", "--samples", "5"], "is not a checkpoint: accumulation_period must be >= 1, got 0"),
     "histogram-hidden-size-0": (["histogram", "--checkpoint", "ZERO_WIDTH_LAYER", "--samples", "5"], "is not a checkpoint: hidden_sizes must be ints >= 1, got (0,)"),
+    # files that are no npz archive, and archives whose version or layer sizes have the wrong shape
+    "histogram-cut-checkpoint": (["histogram", "--checkpoint", "CUT_CHECKPOINT", "--samples", "3"], "cut.npz is not a pauliflow checkpoint: "),
+    "histogram-empty-file": (["histogram", "--checkpoint", "EMPTY.npz", "--samples", "3"], "EMPTY.npz is not a pauliflow checkpoint: "),
+    "histogram-npy-file": (["histogram", "--checkpoint", "ARRAY.npy", "--samples", "3"], "ARRAY.npy is not a pauliflow checkpoint: one array, not an npz archive"),
+    "histogram-version-vector": (["histogram", "--checkpoint", "VERSION_VECTOR", "--samples", "3"], "is not a pauliflow checkpoint: version of shape (2,)"),
+    "histogram-layer-sizes-scalar": (["histogram", "--checkpoint", "LAYER_SIZES_SCALAR", "--samples", "3"], "is not a pauliflow checkpoint: version of shape (), layer_sizes of shape ()"),
+    # a term whose m_est overflows at the saved epsilon, with no best grouping that would show it
+    "histogram-m-est-overflow": (["histogram", "--checkpoint", "HUGE_TERM", "--samples", "3"], "is not a checkpoint: m_est overflows"),
     "histogram-seed-before-load": (["histogram", "--checkpoint", H2, "--samples", "5", "--seed", "-1"], "--seed must be >= 0, got -1"),
     # a count whose arrays numpy refuses at once (about 1000 TiB of uniforms)
     "histogram-samples-too-many": (["histogram", "--checkpoint", "H2_CHECKPOINT", "--samples", "10000000000000"], "--samples"),
@@ -242,6 +258,8 @@ BAD_FILES = {
     "NON_UTF8.ham": b"qubits: 2\n0.5 Z0\n0.3 X\xff1\n",
     "NON_UTF8.json": b"[1, \xff]",
     "BOOL.json": b"[true, true, true, true, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2]",
+    "EMPTY.npz": b"",
+    "ARRAY.npy": npy_bytes(np.zeros(3)),
 }
 
 
@@ -260,6 +278,15 @@ def set_metadata(**entries):
         metadata.update(entries)
         arrays["metadata"] = np.array(json.dumps(metadata))
     return change
+
+
+def huge_term(arrays):
+    """Its last term's coefficient 1e300, and no best grouping."""
+    metadata = json.loads(str(arrays["metadata"]))
+    lines = metadata["hamiltonian"].splitlines()
+    lines[-1] = "1e300 " + lines[-1].split(" ", 1)[1]
+    metadata.update(hamiltonian="\n".join(lines) + "\n", best_assignment=None)
+    arrays["metadata"] = np.array(json.dumps(metadata))
 
 
 def zero_width_layer(arrays):
@@ -286,6 +313,9 @@ BROKEN_CHECKPOINTS = {
     "ZERO_ACCUMULATION_PERIOD": set_metadata(accumulation_period=0),
     "ZERO_WIDTH_LAYER": zero_width_layer,
     "HUGE_QUBITS_TEXT": set_metadata(hamiltonian="qubits: 100000000000000\n0.5 Z0\n"),
+    "VERSION_VECTOR": lambda a: a.update(version=np.array([1, 1])),
+    "LAYER_SIZES_SCALAR": lambda a: a.update(layer_sizes=np.array(5)),
+    "HUGE_TERM": huge_term,
 }
 
 
@@ -311,10 +341,14 @@ def test_bad_input_exits_2_with_error_line(capsys, tmp_path, case):
         argv = [str(bare) if arg == "BARE_CHECKPOINT" else arg for arg in argv]
     good = tmp_path / "good.npz"
     broken = set(argv) & BROKEN_CHECKPOINTS.keys()
-    if "H2_CHECKPOINT" in argv or broken:  # a small H2 FC checkpoint
+    if {"H2_CHECKPOINT", "CUT_CHECKPOINT"} & set(argv) or broken:  # a small H2 FC checkpoint
         config = TrainConfig(iterations=1, trajectories_per_iteration=2, hidden_sizes=(4,))
         train(load_hamiltonian(H2), config).save(good)
         argv = [str(good) if arg == "H2_CHECKPOINT" else arg for arg in argv]
+    if "CUT_CHECKPOINT" in argv:  # its first half
+        cut = tmp_path / "cut.npz"
+        cut.write_bytes(good.read_bytes()[: good.stat().st_size // 2])
+        argv = [str(cut) if arg == "CUT_CHECKPOINT" else arg for arg in argv]
     for name in broken:
         with np.load(good) as data:
             arrays = dict(data)
@@ -349,6 +383,14 @@ def test_python_m_pauliflow_runs_the_cli():
     assert done.returncode == 2
     assert done.stdout == ""
     assert done.stderr.startswith("error: ") and "epsilon" in done.stderr
+
+
+def test_python_m_pauliflow_histogram_of_an_empty_file_prints_one_error_line(tmp_path):
+    empty = tmp_path / "empty.npz"
+    empty.write_bytes(b"")
+    done = run_module("histogram", "--checkpoint", str(empty), "--samples", "3", "--out", str(tmp_path / "h.csv"))
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith(f"error: {empty} is not a pauliflow checkpoint: ") and done.stderr.count("\n") == 1
 
 
 def test_importing_the_cli_loads_no_thread_pool():

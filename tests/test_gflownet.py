@@ -355,17 +355,25 @@ class TestSampling:
         ("h4_chain_sto3g_1A_jw.ham", "fc", 73), ("h4_chain_sto3g_1A_jw.ham", "qwc", 133),
         ("synthetic_10term.ham", "fc", 3), ("synthetic_10term.ham", "qwc", 5),
     ])
-    def test_blocked_width_holds_every_color_on_bundled_systems(self, name, mode, width):
+    def test_blocked_width_holds_every_color_on_bundled_systems(self, monkeypatch, name, mode, width):
         """At the default cap the blocked matrix has a column for every color
         a row can take, the cap or one past the most earlier neighbors of any
-        vertex, and no sampled color goes past it."""
+        vertex, and no sampled color goes past it. The matrix is read from
+        the block's copy of the rollout, as start() leaves it."""
         g = build_complement_graph(load_hamiltonian(bundled_path(name)), mode)
         cap = greedy_color(g, "random_sequential", seed=0).max_color
         mdp = ColoringMDP(g, cap)
         assert mdp.color_bound == max(cap, 1 + max(len(e) for e in mdp.earlier_neighbors)) == width
         net = DenseNet.initialize([mdp.encoding_dim, 8, cap], seed=0)
+        shapes, start = [], _BatchRollout.start
+
+        def spy(self, lo, hi):
+            start(self, lo, hi)
+            shapes.append(self.blocked.shape)
+
+        monkeypatch.setattr(_BatchRollout, "start", spy)
         rollout, _ = _sample_batch(net, mdp, 64, np.random.Generator(np.random.PCG64(0)))
-        assert rollout.blocked.shape == (mdp.n_vertices, 64, width)
+        assert shapes == [(mdp.n_vertices, 64, width)]
         assert rollout.assignments.max() <= width
 
     def test_batch_masks_match_scalar_legal_actions(self):
@@ -571,6 +579,25 @@ class TestBlockedRollout:
             assert [hi - lo for lo, hi in spans] == rows
             assert [lo for lo, _ in spans[1:]] == [hi for _, hi in spans[:-1]] and spans[-1][1] == batch
             assert max(rows) <= block and (len(rows) == 1 or min(rows) >= block // 2)
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_a_returned_rollout_holds_no_block_state(self, monkeypatch, cores):
+        """Every block, inline or pooled, rolls on its own copy of the rollout,
+        so the rollout that _sample_batch returns holds the batch arrays alone:
+        no block's rows, blocked matrix, counts, maxima or preactivations."""
+        monkeypatch.setattr(gflownet, "ROLLOUT_BLOCK_ROWS", 8)  # 3 blocks of 8 rows
+        monkeypatch.setattr(gflownet, "_available_cores", lambda: cores)
+        g = random_graph(12, 0.5, 0)
+        mdp = ColoringMDP(g, greedy_color(g, "random_sequential", seed=0).max_color)
+        net = DenseNet.initialize([mdp.encoding_dim, 6, mdp.color_cap], seed=0)
+        started = []
+        start = _BatchRollout.start
+        monkeypatch.setattr(_BatchRollout, "start", lambda self, lo, hi: started.append(self) or start(self, lo, hi))
+        rollout, _ = _sample_batch(net, mdp, 24, np.random.Generator(np.random.PCG64(0)), record=True)
+        assert len(started) == 3 and all(block is not rollout for block in started)
+        for name in ("rows", "blocked", "blocked_counts", "max_colors", "l1_pre"):
+            assert not hasattr(rollout, name), name
+        assert (rollout.assignments >= 1).all()
 
     def test_a_two_block_batch_has_the_same_bits_on_any_core_count(self, monkeypatch):
         """150 recorded rows of H2 FC at cap 2 on the paper's 512x512 network
@@ -1054,6 +1081,22 @@ class TestTraining:
             with np.load(path) as data:
                 assert str(data["metadata"]) == json.dumps(metadata)
 
+    def test_checkpoint_whose_m_est_overflows_does_not_load(self, tmp_path):
+        """A term of coefficient 1e300 overflows every m_est at the saved
+        epsilon; load() says so before sample() draws a row, also with no
+        best grouping in the metadata."""
+        h = loads_hamiltonian("qubits: 2\n0.5 Z0\n0.4 X0 X1\n0.3 Z0 Z1\n")
+        sampler = train(h, tiny_config(iterations=1))
+        huge = loads_hamiltonian("qubits: 2\n0.5 Z0\n0.4 X0 X1\n1e300 Z0 Z1\n")
+        metadata = {**vars(sampler.config), **vars(sampler.config.measurement), "hamiltonian": dump_hamiltonian(huge),
+                    "color_cap": sampler.mdp.color_cap, "best_assignment": None}
+        del metadata["measurement"]
+        metadata["hidden_sizes"] = list(sampler.config.hidden_sizes)
+        path = tmp_path / "huge.npz"
+        save_checkpoint(path, sampler.net, metadata)
+        with pytest.raises(ValueError, match="^m_est overflows"):
+            TrainedSampler.load(path)
+
     def test_checkpoint_with_adam_arrays_still_loads(self, tmp_path):
         # the archive format written before checkpoints dropped Adam's state
         h = loads_hamiltonian("qubits: 2\n0.5 Z0\n0.4 X0 X1\n0.3 Z0 Z1\n")
@@ -1318,6 +1361,8 @@ class TestTrainConfig:
         # counts that are not ints: a late TypeError, a fractional Adam period, or one iteration
         ("iterations", 2.5), ("trajectories_per_iteration", 3.0), ("mask_extra_colors", 0.5),
         ("seed", 1.5), ("accumulation_period", 2.5), ("iterations", True), ("seed", False),
+        # a learning rate that is not a real number: a late TypeError, or 1.0
+        ("learning_rate", "0.1"), ("learning_rate", True), ("learning_rate", None),
     ])
     def test_out_of_range_field_rejected(self, field, value):
         """The message names the field and ends with the value."""
@@ -1331,6 +1376,7 @@ class TestTrainConfig:
         assert TrainConfig(hidden_sizes=()).hidden_sizes == ()
         # as a checkpoint's JSON gives them
         assert TrainConfig(hidden_sizes=[3, 4], learning_rate=1) == TrainConfig(hidden_sizes=(3, 4), learning_rate=1.0)
+        assert type(TrainConfig(learning_rate=np.float32(0.5)).learning_rate) is float
         config = TrainConfig(iterations=np.int64(2), seed=np.uint8(0), hidden_sizes=(np.int32(3),))
         assert (config.iterations, config.seed, config.hidden_sizes) == (2, 0, (3,))
         assert type(config.iterations) is type(config.seed) is type(config.hidden_sizes[0]) is int

@@ -16,6 +16,7 @@ from pauliflow.hamio import bundled_path, load_hamiltonian, loads_hamiltonian
 from pauliflow.measurement import (
     MeasurementConfig,
     batch_metrics,
+    check_metrics_finite,
     estimate_measurements,
 )
 from pauliflow.pauli import PauliWord, QubitHamiltonian
@@ -119,6 +120,33 @@ class TestEstimate:
     def test_unusable_lambda0_rejected(self, lambda0):
         with pytest.raises(ValueError, match="lambda0"):
             MeasurementConfig(lambda0=lambda0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("epsilon", "0.1"), ("epsilon", True), ("epsilon", None), ("epsilon", 1e-3j), ("epsilon", np.bool_(True)),
+        ("lambda0", True), ("lambda0", "1e6"), ("lambda0", [1e6]),
+    ])
+    def test_values_that_are_not_real_numbers_rejected(self, field, value):
+        """A string, a bool or a complex number is no epsilon or lambda0,
+        though float() or a comparison would take some of them."""
+        with pytest.raises(ValueError, match=f"^{field} must be a real number, got "):
+            MeasurementConfig(**{field: value})
+
+    def test_real_values_are_stored_as_floats(self):
+        cfg = MeasurementConfig(epsilon=np.float32(0.5), lambda0=10**6)
+        assert type(cfg.epsilon) is type(cfg.lambda0) is float
+        assert cfg == MeasurementConfig(epsilon=0.5, lambda0=1e6)
+        with pytest.raises(ValueError, match="^lambda0 must be positive and finite, got inf$"):
+            MeasurementConfig(lambda0=10**400)  # past the largest float
+
+    def test_check_metrics_finite_checks_both_extreme_rows(self):
+        """The one-term-per-group row has the largest m_est, and the
+        all-in-one-group row the largest reward."""
+        h = simple_h([0.5, 0.3], ["Z0", "Z1"], 2)
+        check_metrics_finite(h, MeasurementConfig())
+        with pytest.raises(ValueError, match="m_est overflows"):
+            check_metrics_finite(simple_h([1e300, 1e300], ["Z0", "Z1"], 2), MeasurementConfig())
+        with pytest.raises(ValueError, match="reward overflows"):
+            check_metrics_finite(h, MeasurementConfig(epsilon=1e150, lambda0=1e300))
 
     def test_smallest_usable_epsilon_gives_finite_estimate(self):
         h = simple_h([0.5], ["Z0"], 1)

@@ -308,6 +308,32 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="not a pauliflow checkpoint: b1"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("kind", ["first half", "all but the last byte", "empty", "npy"])
+    def test_a_file_that_is_no_archive_is_not_a_checkpoint(self, tmp_path, kind):
+        path = tmp_path / "ckpt.npz"
+        save_checkpoint(path, DenseNet.initialize([4, 8, 3], seed=3), {})
+        raw = path.read_bytes()
+        if kind == "npy":
+            path = tmp_path / "ckpt.npy"
+            np.save(path, np.zeros(3))
+        else:
+            path.write_bytes({"first half": raw[: len(raw) // 2], "all but the last byte": raw[:-1], "empty": b""}[kind])
+        with pytest.raises(ValueError, match="^not a pauliflow checkpoint: "):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("name, value", [
+        ("version", np.array([1, 1])), ("version", np.array([1])), ("layer_sizes", np.array(3)),
+        ("layer_sizes", np.array([[4, 8, 3]])),
+    ])
+    def test_a_misshapen_version_or_layer_sizes_is_not_a_checkpoint(self, tmp_path, name, value):
+        path = tmp_path / "ckpt.npz"
+        save_checkpoint(path, DenseNet.initialize([4, 8, 3], seed=3), {})
+        with np.load(path) as data:
+            arrays = dict(data)
+        np.savez(path, **{**arrays, name: value})
+        with pytest.raises(ValueError, match=r"^not a pauliflow checkpoint: version of shape \("):
+            load_checkpoint(path)
+
     def test_finite_guard(self):
         net = DenseNet.initialize([2, 2], seed=0)
         check_finite(net)
