@@ -127,8 +127,6 @@ def _load_input(path: str, epsilon: float, lambda0: float = math.ulp(0.0)):
         raise CliInputError(f"cannot read {path}: {err}") from err
     except HamiltonianParseError as err:
         raise CliInputError(f"{path}: {err}") from err
-    if h.n_terms == 0:
-        raise CliInputError(f"{path}: no groupable terms")
     try:
         check_metrics_finite(h, MeasurementConfig(epsilon=epsilon, lambda0=lambda0))
     except ValueError as err:

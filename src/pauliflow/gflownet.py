@@ -578,13 +578,14 @@ class TrainedSampler:
 
     def _record(self, assignments: np.ndarray, iteration: int) -> np.ndarray:
         """Add the rows (B, n) not yet discovered, first found at `iteration`,
-        update best and best_reward, and return the rows' rewards."""
+        update best and best_reward, and return the rows' rewards. A row is
+        held once: its assignment is a read-only view of its key's bytes."""
         m_est, rewards, colors = batch_metrics(self.hamiltonian, assignments, self.config.measurement)
         rows = zip(assignments, m_est.tolist(), rewards.tolist(), colors.tolist())
         for row, m, rew, c in rows:
             key = row.tobytes()
             if key not in self.discovered:
-                found = DiscoveredGrouping(row.copy(), c, m, rew, iteration)
+                found = DiscoveredGrouping(np.frombuffer(key, row.dtype), c, m, rew, iteration)
                 self.discovered[key] = found
                 self._best_reward = max(self._best_reward, rew)
                 if self._best is None or (m, c) < (self._best.m_est, self._best.color_count):

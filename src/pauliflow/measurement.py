@@ -100,10 +100,12 @@ def batch_metrics(
 
 
 def check_metrics_finite(h: QubitHamiltonian, cfg: MeasurementConfig) -> None:
-    """ValueError unless every grouping of h's terms has a finite m_est and
-    reward at cfg. Since sqrt is subadditive, every m_est lies between the
-    all-in-one-group row's, which gives the largest reward, and the
-    one-term-per-group row's, so batch_metrics checks those two rows."""
+    """ValueError unless h has terms and every grouping of them has a finite
+    m_est and reward at cfg. Since sqrt is subadditive, every m_est lies
+    between the all-in-one-group row's, which gives the largest reward, and
+    the one-term-per-group row's, so batch_metrics checks those two rows."""
+    if h.n_terms == 0:  # its only grouping, the empty one, would read as a reward overflow
+        raise ValueError("no groupable terms")
     batch_metrics(h, np.stack([np.arange(1, h.n_terms + 1), np.ones(h.n_terms, np.int64)]), cfg)
 
 

@@ -10,7 +10,11 @@ leave the parameters as they are, and backward_to_pre reuses the hidden
 activations it is given as scratch. The first layer's gradient is always
 row-sparse: only the rows it touches, with their indices. The optimizer mutates
 parameters, moments and its gradient accumulator in place, a block of rows
-at a time, and must be serialized externally (one writer at a time).
+at a time, and must be serialized externally (one writer at a time). Its
+moments and accumulator start as untouched zero pages, so they take memory
+only once written: the accumulator's first-layer rows as gradients reach
+them, and every row at the first step. check_finite reads the parameters a
+block of rows at a time too, so neither holds a parameter-sized temporary.
 """
 from __future__ import annotations
 
@@ -24,7 +28,7 @@ import numpy as np
 from .pauli import DimensionError
 
 CHECKPOINT_VERSION = 1
-ADAM_BLOCK_BYTES = 1 << 20  # the Adam step's scratch: one block of rows
+ADAM_BLOCK_BYTES = 1 << 20  # the scratch of the Adam step and check_finite: one block of rows
 ADAM_BETA1 = 0.9  # moment decay rates and the denominator's guard
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
@@ -134,10 +138,17 @@ class AdamState:
         return cls(
             lr=lr,
             accumulation_period=accumulation_period,
-            m=[np.zeros_like(p) for p in params],
-            v=[np.zeros_like(p) for p in params],
-            accum=[np.zeros_like(p) for p in params],
+            # np.zeros, not zeros_like, which writes every page: these stay
+            # unresident until accumulation or the first step writes them
+            m=[np.zeros(p.shape, p.dtype) for p in params],
+            v=[np.zeros(p.shape, p.dtype) for p in params],
+            accum=[np.zeros(p.shape, p.dtype) for p in params],
         )
+
+
+def _rows_per_block(p: np.ndarray) -> int:
+    """The rows of p in a block of about ADAM_BLOCK_BYTES, at least one."""
+    return max(1, ADAM_BLOCK_BYTES * len(p) // max(p.nbytes, 1))
 
 
 def adam_accumulate_and_step(
@@ -169,7 +180,7 @@ def adam_accumulate_and_step(
     bc1 = 1.0 - ADAM_BETA1**state.t
     bc2 = 1.0 - ADAM_BETA2**state.t
     for arrays in zip(params, state.m, state.v, state.accum):
-        block = max(1, ADAM_BLOCK_BYTES * len(arrays[0]) // max(arrays[0].nbytes, 1))
+        block = _rows_per_block(arrays[0])
         for lo in range(0, len(arrays[0]), block):
             p, m, v, acc = (a[lo : lo + block] for a in arrays)
             # in place: acc becomes the averaged gradient, then the step, then
@@ -201,8 +212,11 @@ def check_addressable(shape: tuple[int, ...]) -> None:
 
 
 def check_finite(net: DenseNet, context: str = "") -> None:
+    """NumericError if a parameter holds a NaN or an infinity. Reads a block
+    of rows at a time, so no parameter-sized bool array is made."""
     for p in net.parameters():
-        if not np.all(np.isfinite(p)):
+        block = _rows_per_block(p)
+        if not all(np.isfinite(p[lo : lo + block]).all() for lo in range(0, len(p), block)):
             raise NumericError(f"non-finite network parameter{': ' + context if context else ''}")
 
 

@@ -195,6 +195,8 @@ BAD_INPUTS = {
     "histogram-npy-file": (["histogram", "--checkpoint", "ARRAY.npy", "--samples", "3"], "ARRAY.npy is not a pauliflow checkpoint: one array, not an npz archive"),
     "histogram-version-vector": (["histogram", "--checkpoint", "VERSION_VECTOR", "--samples", "3"], "is not a pauliflow checkpoint: version of shape (2,)"),
     "histogram-layer-sizes-scalar": (["histogram", "--checkpoint", "LAYER_SIZES_SCALAR", "--samples", "3"], "is not a pauliflow checkpoint: version of shape (), layer_sizes of shape ()"),
+    # only an identity term, which folds away: no grouping but the empty one
+    "histogram-no-terms": (["histogram", "--checkpoint", "NO_TERMS", "--samples", "3"], "is not a checkpoint: no groupable terms"),
     # a term whose m_est overflows at the saved epsilon, with no best grouping that would show it
     "histogram-m-est-overflow": (["histogram", "--checkpoint", "HUGE_TERM", "--samples", "3"], "is not a checkpoint: m_est overflows"),
     "histogram-seed-before-load": (["histogram", "--checkpoint", H2, "--samples", "5", "--seed", "-1"], "--seed must be >= 0, got -1"),
@@ -231,6 +233,8 @@ BAD_INPUTS = {
     "m-est-overflow-coefficients": (["group", "--input", "HUGE.ham", "--mode", "fc", "--method", "full"], "m_est overflows"),
     # a reward that overflows at the run's lambda0 too, before training starts
     "reward-overflow-gflownet": (["group", "--input", H2, "--mode", "fc", "--method", "gflownet", "--iterations", "2", "--epsilon", "1e150", "--lambda0", "1e300"], "reward overflows"),
+    # only an identity term, as in histogram-no-terms
+    "no-terms": (["group", "--input", "IDENTITY_ONLY.ham", "--mode", "fc", "--method", "gflownet"], "IDENTITY_ONLY.ham: no groupable terms"),
     # files the parser rejects, with the line at fault
     "nan-term": (["group", "--input", "NAN_TERM.ham", "--mode", "fc", "--method", "full"], "line 2: non-finite"),
     "inf-term": (["group", "--input", "INF_TERM.ham", "--mode", "fc", "--method", "full"], "line 3: non-finite"),
@@ -253,6 +257,7 @@ BAD_FILES = {
     "INF_TERM.ham": b"qubits: 2\n0.3 X1\ninf Z0\n",
     "OVERFLOW_TERM.ham": b"qubits: 2\n1e999 Z0\n",
     "NAN_IDENTITY.ham": b"qubits: 2\nnan I\n0.3 X1\n",
+    "IDENTITY_ONLY.ham": b"qubits: 4\n-0.5 I\n",
     "HUGE_QUBITS.ham": b"qubits: 100000000000000\n0.5 Z0\n0.3 X1\n",
     "HUGER_QUBITS.ham": b"qubits: 100000000000000000000000\n0.5 Z0\n",
     "NON_UTF8.ham": b"qubits: 2\n0.5 Z0\n0.3 X\xff1\n",
@@ -316,6 +321,7 @@ BROKEN_CHECKPOINTS = {
     "VERSION_VECTOR": lambda a: a.update(version=np.array([1, 1])),
     "LAYER_SIZES_SCALAR": lambda a: a.update(layer_sizes=np.array(5)),
     "HUGE_TERM": huge_term,
+    "NO_TERMS": set_metadata(hamiltonian="qubits: 4\n-0.5 I\n"),
 }
 
 

@@ -1012,6 +1012,17 @@ class TestTraining:
             best.m_est <= row.best_m_est + 1e-9 for row in sampler.log[-1:]
         )
 
+    def test_each_discovered_row_is_held_once(self, tmp_path):
+        """A discovered row's assignment is a read-only view of its key's
+        bytes, not a second copy of the row; so is a loaded best row's."""
+        h = loads_hamiltonian("qubits: 2\n0.5 Z0\n0.4 X0 X1\n0.3 Z0 Z1\n0.2 X0\n")
+        sampler = train(h, tiny_config(iterations=4))
+        sampler.save(tmp_path / "c.npz")
+        loaded = TrainedSampler.load(tmp_path / "c.npz")
+        for key, d in [*sampler.discovered.items(), *loaded.discovered.items()]:
+            assert d.assignment.tobytes() == key and d.assignment.base is key
+            assert d.assignment.dtype == np.int64 and not d.assignment.flags.writeable
+
     def test_equivalent_color_permutations_share_m_est(self):
         h = loads_hamiltonian("qubits: 2\n0.5 Z0\n0.4 X0 X1\n0.3 Z0 Z1\n0.2 X0\n")
         sampler = train(h, tiny_config(iterations=8, seed=2))

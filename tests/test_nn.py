@@ -1,4 +1,7 @@
 import math
+import os
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -268,6 +271,49 @@ class TestAdam:
             adam_accumulate_and_step(
                 state, net.parameters(), [np.zeros((3, 3))] * len(net.parameters()), all_rows(net)
             )
+
+
+STATM = Path("/proc/self/statm")
+
+
+def resident_bytes() -> int:
+    return int(STATM.read_text().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+
+class TestMemory:
+    @pytest.mark.skipif(not STATM.exists(), reason="reads resident memory from /proc/self/statm")
+    def test_adam_state_is_not_resident_until_written(self):
+        """m, v and the accumulator start as untouched zero pages: building
+        them for a 64 MiB first layer (itself untouched) takes next to no
+        memory."""
+        net = DenseNet([np.zeros((16384, 512))], [np.zeros(512)])
+        before = resident_bytes()
+        state = AdamState.for_net(net)
+        grown = resident_bytes() - before
+        assert grown < 3 * net.weights[0].nbytes / 4
+        assert len(state.m) == len(state.v) == len(state.accum) == 2
+
+    @pytest.mark.parametrize("where", ["last row of W0", "last bias"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_check_finite_reads_every_block(self, where, value):
+        """W0 spans three row blocks, the last one partial; a non-finite value
+        in the last of them, or in the output layer's bias, is found."""
+        net = DenseNet.initialize([700, 400, 3], seed=0)
+        assert 2 * ADAM_BLOCK_BYTES < net.weights[0].nbytes < 3 * ADAM_BLOCK_BYTES
+        check_finite(net)
+        (net.weights[0][-1] if where == "last row of W0" else net.biases[-1])[-1] = value
+        with pytest.raises(NumericError, match="non-finite network parameter: step 3"):
+            check_finite(net, "step 3")
+
+    def test_check_finite_makes_no_parameter_sized_mask(self):
+        net = DenseNet([np.ones((4096, 512))], [np.ones(512)])  # a 2 MiB bool mask of W0
+        tracemalloc.start()
+        try:
+            check_finite(net)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < net.weights[0].size // 4
 
 
 class TestCheckpoint:

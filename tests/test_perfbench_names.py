@@ -8,10 +8,14 @@ So does a hook that cannot read a changed return value, or a call that no
 longer goes through the wrapped name. These tests install the tracer and
 fail on any absent name, on a small training, save, load and sample that
 records no span or disables a hook, and on a sample of several rollout blocks
-that records other than one rollout span of every row's steps.
+that records other than one rollout span of every row's steps. The
+workload's output checks read a train() sampler's attributes by name too, and
+fail on any that is missing or changes its type.
 """
 import importlib.util
 from pathlib import Path
+
+import numpy as np
 
 from pauliflow import gflownet
 from pauliflow.hamio import loads_hamiltonian
@@ -73,3 +77,19 @@ def test_traced_sample_of_several_blocks_is_one_rollout(monkeypatch):
     assert tracer.broken_hooks == set()
     assert [s[0] for s in tracer.spans].count("gflownet.rollout") == 1
     assert tracer.counts["gflownet.rollout_steps"] == 11 * h.n_terms
+
+
+def test_train_sampler_has_what_the_train_check_reads():
+    """perfbench/workload.py's train operation hands its checks mdp.color_cap,
+    and the assignment, m_est and color_count of best and of every value
+    of discovered."""
+    h = loads_hamiltonian("qubits: 2\n0.5 Z0\n0.4 X0 X1\n0.3 Z0 Z1\n")
+    config = gflownet.TrainConfig(iterations=2, trajectories_per_iteration=3, hidden_sizes=(8,))
+    sampler = gflownet.train(h, config)
+    assert isinstance(sampler.mdp.color_cap, int)
+    assert sampler.discovered and isinstance(sampler.discovered, dict)
+    for found in [sampler.best, *sampler.discovered.values()]:
+        assignment = found.assignment.copy()
+        assert assignment.shape == (h.n_terms,) and assignment.dtype == np.int64
+        assert isinstance(found.m_est, float) and isinstance(found.color_count, int)
+        assert found.color_count == assignment.max() <= sampler.mdp.color_cap
