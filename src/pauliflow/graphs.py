@@ -8,8 +8,8 @@ minimum color count equals the minimum clique cover of the commutativity
 graph.
 
 The graph is built with one boolean (n, n) pass per qubit, not one predicate
-call per term pair. Greedy colorings pick each next vertex by one argmax over
-an integer key and read its color off a (vertex, color) blocked matrix.
+call per term pair. Greedy colorings hold vertex sets as Python-int bitsets:
+each vertex takes the first color whose set of adjacent vertices lacks it.
 """
 from __future__ import annotations
 
@@ -129,26 +129,41 @@ def greedy_color(g: CompatGraph, strategy: str, seed: int = 0) -> Coloring:
     repeatedly picks the uncolored vertex with the most distinct neighbor
     colors (ties by degree, then index); random_sequential permutes vertices
     with a seeded PCG64 generator. Each vertex then takes the smallest color
-    not used by its neighbors, read off a (vertex, color) blocked matrix.
+    whose set of adjacent vertices lacks it. Vertex sets are Python-int
+    bitsets (bit u holds vertex u): each vertex's neighbors, and for each
+    color the vertices adjacent to it.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
     n = g.n_vertices
+    rows = np.packbits(g.adjacency, axis=1, bitorder="little")
+    neighbors = [int.from_bytes(row.tobytes(), "little") for row in rows]
     if strategy == "random_sequential":
-        key = np.empty(n, dtype=np.int64)
-        key[np.random.Generator(np.random.PCG64(seed)).permutation(n)] = np.arange(n - 1, -1, -1)
-    else:  # dsatur adds saturation * n^2: (saturation, degree, -index) order
+        order = np.random.Generator(np.random.PCG64(seed)).permutation(n).tolist()
+    else:  # dsatur adds saturation * n^2 to the key, (saturation, degree, -index), and picks by it
         key = _degree_key(g)
+        order = key.argsort()[::-1].tolist()
     assignment = np.zeros(n, dtype=np.int64)
-    blocked = np.zeros((n, n + 1), dtype=bool)  # column c: color c + 1
-    for _ in range(n):
-        v = int(np.argmax(key))  # the next vertex: colored ones have key -1
-        c = int(np.argmin(blocked[v]))
-        assignment[v] = c + 1
-        key[v] = -1
+    adjacent: list[int] = []  # adjacent[c]: the vertices with a neighbor of color c + 1
+    uncolored = (1 << n) - 1
+    for v in order:
         if strategy == "dsatur":
-            key[g.adjacency[v] & ~blocked[:, c] & (assignment == UNCOLORED)] += n * n
-        blocked[g.adjacency[v], c] = True
+            v = int(key.argmax())  # colored vertices have key -1
+            key[v] = -1
+        bit = 1 << v
+        uncolored ^= bit
+        for c, near in enumerate(adjacent):
+            if not near & bit:
+                break
+        else:  # every color so far is adjacent to v: open the next
+            c = len(adjacent)
+            adjacent.append(0)
+        assignment[v] = c + 1
+        fresh = neighbors[v] & uncolored & ~adjacent[c] if strategy == "dsatur" else 0
+        if fresh:  # uncolored neighbors of v that gain color c + 1 as a neighbor color
+            fresh_bytes = np.frombuffer(fresh.to_bytes(rows.shape[1], "little"), np.uint8)
+            key[np.unpackbits(fresh_bytes, count=n, bitorder="little").view(bool)] += n * n
+        adjacent[c] |= neighbors[v]
     return Coloring(assignment)
 
 

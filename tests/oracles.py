@@ -21,8 +21,8 @@ forms of code the package now does faster: activations rebuilt from actions
 (the loss reuses the rollout's), the input layer's gradient as one dense
 array (the loss returns only the rows it touches), the Adam update with
 dense temporaries (the package's runs in place, block by block), greedy
-coloring with a Python set per vertex (the package's uses a blocked-color
-matrix), masks that read every later neighbor's blocked colors (the
+coloring with a Python set per vertex (the package's holds one bitset per
+color), masks that read every later neighbor's blocked colors (the
 package's count blocked colors), and one row's m_est and reward (the
 package's take a whole batch in one bincount). The reference rollout adds
 the package's own per-row layer-1 step, _l1_step; what checks that update

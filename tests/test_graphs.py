@@ -1,8 +1,9 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pauliflow.graphs import (
@@ -152,8 +153,17 @@ class TestGreedyColor:
             assert validate_coloring(g, greedy_color(g, strategy, seed=seed))
 
     @settings(max_examples=40, deadline=None)
-    @given(st.integers(0, 10_000), st.integers(1, 40), st.floats(0.0, 1.0))
+    @given(st.integers(0, 10_000), st.integers(0, 200), st.floats(0.0, 1.0))
+    @example(seed=0, n=0, p=0.5)
+    @example(seed=1, n=1, p=1.0)
+    @example(seed=2, n=8, p=1.0)
+    @example(seed=3, n=65, p=0.0)
+    @example(seed=4, n=65, p=1.0)
+    @example(seed=5, n=129, p=0.3)
+    @example(seed=6, n=200, p=0.7)
     def test_matches_scalar_reference(self, seed, n, p):
+        """Across the byte and 64-bit boundaries of the bitsets, edgeless and
+        complete graphs included."""
         g = random_graph(n, p, seed)
         for strategy in STRATEGIES:
             assert np.array_equal(
@@ -166,11 +176,32 @@ class TestGreedyColor:
     def test_matches_scalar_reference_on_bundled(self, name, mode):
         g = fixture_graph(name, mode)
         for strategy in STRATEGIES:
-            for seed in (0, 1):
+            for seed in range(5):
                 assert np.array_equal(
                     greedy_color(g, strategy, seed=seed).assignment,
                     greedy_color_reference(g, strategy, seed=seed),
                 )
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_holds_less_than_half_a_byte_per_vertex_pair(self, strategy):
+        """On a sparse 3000-vertex graph the coloring allocates less than
+        n^2 / 2 bytes at its peak: no (vertex, color) matrix of n^2 bools."""
+        n = 3000
+        rng = np.random.Generator(np.random.PCG64(0))
+        ends = rng.integers(0, n, size=(2, int(0.002 * n * n / 2)))
+        adj = np.zeros((n, n), dtype=bool)
+        adj[ends[0], ends[1]] = True
+        adj |= adj.T
+        np.fill_diagonal(adj, False)
+        g = CompatGraph(mode="fc", adjacency=adj)
+        tracemalloc.start()
+        try:
+            coloring = greedy_color(g, strategy)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n / 2
+        assert validate_coloring(g, coloring)
 
     @pytest.mark.parametrize("mode, counts", [("fc", (9, 8, 12)), ("qwc", (68, 67, 69))])
     def test_h4_color_counts(self, mode, counts):

@@ -6,8 +6,9 @@ the program no longer has is left out of the traced result, and the
 benchmark's output then lacks per-layer metrics that BENCHMARK.json declares.
 So does a hook that cannot read a changed return value, or a call that no
 longer goes through the wrapped name. These tests install the tracer and
-fail on any absent name, on a small training, save, load and sample that
-records no span or disables a hook, and on a sample of several rollout blocks
+fail on any absent name, on a small training, save, load and sample, or a
+compare with a greedy and the exact coloring, that records no span or
+disables a hook, and on a sample of several rollout blocks
 that records other than one rollout span of every row's steps. The
 workload's output checks read a train() sampler's attributes by name too, and
 fail on any that is missing or changes its type.
@@ -17,8 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from pauliflow import gflownet
-from pauliflow.hamio import loads_hamiltonian
+from pauliflow import cli, gflownet
+from pauliflow.hamio import bundled_path, loads_hamiltonian
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -53,10 +54,28 @@ def test_traced_run_records_every_layer(tmp_path):
         tracer.uninstall()
     assert tracer.broken_hooks == set()
     recorded = {s[0] for s in tracer.spans}
-    assert {"gflownet.rollout", "gflownet.loss", "gflownet.sample", "nn.checkpoint_load"} <= recorded
+    assert {"gflownet.rollout", "gflownet.loss", "gflownet.sample", "nn.checkpoint_load",
+            "graphs.greedy"} <= recorded
     assert tracer.counts["gflownet.rollout_steps"] > 0 and tracer.counts["nn.checkpoint_bytes"] > 0
     extra = {"gflownet.distinct_groupings": 1, "gflownet.distinct_per_trajectory": 1}
     assert set(tracer.layer_metrics(1, extra)) == set(spans.LAYER_METRICS)
+
+
+def test_traced_compare_records_the_colorings(tmp_path):
+    """An in-process compare colors through the names the tracer wraps, so
+    its greedy and exact methods each record their span."""
+    spans = load_spans()
+    tracer = spans.Tracer()
+    tracer.install()
+    tracer.op = 0
+    try:
+        argv = ["compare", "--input", str(bundled_path("h2_sto3g_1A_jw.ham")), "--mode", "fc",
+                "--methods", "greedy-lf,exact", "--deterministic", "--out", str(tmp_path / "r.json")]
+        assert cli.main(argv) == 0
+    finally:
+        tracer.uninstall()
+    assert tracer.broken_hooks == set()
+    assert {"cli", "graphs.greedy", "graphs.exact"} <= {s[0] for s in tracer.spans}
 
 
 def test_traced_sample_of_several_blocks_is_one_rollout(monkeypatch):
